@@ -1,11 +1,8 @@
 // Graceful degradation under stress: the same query stream served (a)
 // by a well-provisioned server, (b) by a deliberately starved server
-// (one worker, queue depth one) with retrying clients riding out the
+// (one shard, queue depth one) with retrying clients riding out the
 // shedding, and (c) under a deterministic 10% socket-send fault
-// schedule with reconnecting clients. The degraded phases (b) and (c)
-// run once per serving core (--io=threaded and --io=epoll): shedding,
-// retry hints and fault handling must degrade identically whichever
-// core is under the protocol.
+// schedule with reconnecting clients.
 //
 // The point is not the absolute numbers — overload throughput depends
 // on backoff sleeps — but the two gates every phase shares:
@@ -28,7 +25,6 @@
 #include "graph/generators.h"
 #include "harness/experiment.h"
 #include "server/client.h"
-#include "server/event_loop.h"
 #include "server/server.h"
 #include "service/graph_registry.h"
 #include "service/query_context.h"
@@ -77,7 +73,7 @@ int Run(int argc, char** argv) {
               n, static_cast<long long>(m), kClients, kQueriesPerClient);
 
   // Serving configuration: one compute thread per query; concurrency
-  // comes from the server's worker pool (or lack of it, in phase B).
+  // comes from the server's shards (or lack of them, in phase B).
   SetNumThreads(1);
 
   // The per-client stream: index-backed selects (cache hits after the
@@ -147,7 +143,7 @@ int Run(int argc, char** argv) {
 
   std::vector<Row> rows;
 
-  // Phase A: well provisioned — enough workers for every client. The
+  // Phase A: well provisioned — a shard for every client. The
   // healthy-path yardstick the degraded phases are read against.
   {
     auto registry = make_registry();
@@ -186,16 +182,13 @@ int Run(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  // Phase B: starved — one worker (or shard), queue depth one, so most
-  // connects are shed with a retry hint. Retrying clients must still
-  // deliver every query, and every delivered byte must match the cold
-  // reference — under either serving core.
-  for (IoMode io : {IoMode::kThreaded, IoMode::kEpoll}) {
-    const std::string phase =
-        StrFormat("overload_shed_retry_%s", IoModeName(io));
+  // Phase B: starved — one shard, queue depth one, so most connects are
+  // shed with a retry hint. Retrying clients must still deliver every
+  // query, and every delivered byte must match the cold reference.
+  {
+    const std::string phase = "overload_shed_retry";
     auto registry = make_registry();
     ServerOptions options;
-    options.io = io;
     options.threads = 1;
     options.max_queue_depth = 1;
     options.retry_after_ms = 2;
@@ -214,8 +207,8 @@ int Run(int argc, char** argv) {
         policy.base_ms = 1;
         policy.max_backoff_ms = 20;
         policy.jitter_seed = args.seed + static_cast<uint64_t>(c);
-        // Scoped so destruction closes the connection and frees the one
-        // worker for the next queued client.
+        // Scoped so destruction closes the connection and frees a slot
+        // under the shed threshold for the next client.
         RetryingClient client("127.0.0.1", server->port(), policy);
         for (size_t i = 0; i < lines.size(); ++i) {
           auto response = client.Roundtrip(lines[i]);
@@ -254,14 +247,12 @@ int Run(int argc, char** argv) {
   // Phase C: every 10th send (greeting, request or response — client and
   // server share the process-wide fault site) fails with EPIPE. One
   // client reconnects through the carnage until every query is answered;
-  // the answers must still be the cold bytes — under either serving core
-  // (the epoll loop arms the same fault site per queued response).
-  for (IoMode io : {IoMode::kThreaded, IoMode::kEpoll}) {
-    const std::string phase =
-        StrFormat("fault_10pct_sends_%s", IoModeName(io));
+  // the answers must still be the cold bytes (the event loop arms the
+  // fault site once per queued response).
+  {
+    const std::string phase = "fault_10pct_sends";
     auto registry = make_registry();
     ServerOptions options;
-    options.io = io;
     options.threads = 2;
     auto server = make_server(registry.get(), options);
     Status started = server->Start();

@@ -1,18 +1,17 @@
 // Serving throughput: queries/sec and per-request latency through a
 // live `rwdom serve`-style QueryServer as the concurrent-connection
-// count grows, for BOTH serving cores (--io=threaded worker pool vs
-// --io=epoll event loop) at a fixed serving width of 4.
+// count grows, at a fixed serving width of 4 event-loop shards.
 //
 // Protocol matches production exactly: the JSONL query-line path over
 // real sockets, one server per sweep point, a fresh context per sweep
 // (so each sweep pays exactly one index build and then serves cache
 // hits). The compute pool is pinned to 1 thread — the serving
-// configuration: inter-query parallelism via workers/shards, no
+// configuration: inter-query parallelism via shards, no
 // intra-query parallelism — so the sweep isolates the server layer.
 //
 // Every client sends the same query-sequence prefix; the driver
 // verifies all responses (modulo wall-clock fields) are identical
-// across clients, connection counts AND io modes, and exits non-zero
+// across clients and connection counts, and exits non-zero
 // on any divergence — the concurrent-serving determinism gate. The
 // qps/latency numbers are informational (tracked, not gated). JSON
 // output: BENCH_serve_throughput.json via --json_dir.
@@ -27,7 +26,6 @@
 #include "cli/query_line.h"
 #include "graph/generators.h"
 #include "harness/experiment.h"
-#include "server/event_loop.h"
 #include "server/server.h"
 #include "service/graph_registry.h"
 #include "service/query_context.h"
@@ -103,7 +101,7 @@ int Run(int argc, char** argv) {
   BenchArgs args = ParseBenchArgs(argc, argv);
   PrintBanner("serve_throughput",
               "queries/sec + latency through the TCP query server vs "
-              "connection count, per io mode",
+              "connection count",
               args);
 
   const NodeId n = args.full ? 20000 : 2000;
@@ -120,7 +118,7 @@ int Run(int argc, char** argv) {
               static_cast<long long>(m), kServerThreads);
 
   // Serving configuration: one compute thread per query, concurrency
-  // across queries comes from the serving core under test.
+  // across queries comes from the server's shards.
   SetNumThreads(1);
 
   // A mixed request stream on one (L, R, seed) key: index-backed
@@ -154,7 +152,6 @@ int Run(int argc, char** argv) {
   }
 
   struct Row {
-    IoMode io = IoMode::kThreaded;
     int connections = 0;
     int queries_per_client = 0;
     double seconds = 0.0;
@@ -169,104 +166,98 @@ int Run(int argc, char** argv) {
   bool deterministic = true;
 
   const std::vector<int> connection_counts = {4, 16, 64};
-  for (IoMode io : {IoMode::kThreaded, IoMode::kEpoll}) {
-    for (int connections : connection_counts) {
-      // Comparable total work per sweep: ~kBaseQueries * 4 queries,
-      // spread over however many connections this sweep opens.
-      const int queries_per_client =
-          std::max(2, kBaseQueries * 4 / connections);
-      const std::vector<std::string> client_lines(
-          lines.begin(),
-          lines.begin() + std::min<size_t>(lines.size(),
-                                           static_cast<size_t>(
-                                               queries_per_client)));
+  for (int connections : connection_counts) {
+    // Comparable total work per sweep: ~kBaseQueries * 4 queries,
+    // spread over however many connections this sweep opens.
+    const int queries_per_client =
+        std::max(2, kBaseQueries * 4 / connections);
+    const std::vector<std::string> client_lines(
+        lines.begin(),
+        lines.begin() + std::min<size_t>(lines.size(),
+                                         static_cast<size_t>(
+                                             queries_per_client)));
 
-      GraphRegistry registry;
-      Status added = registry.Add(
-          kDefaultGraphName, std::make_unique<QueryContext>(
-                                 GraphSubstrate(Graph(graph))));
-      RWDOM_CHECK(added.ok()) << added;
-      QueryContext& context = *registry.default_context();
-      ServerOptions options;
-      options.port = 0;
-      options.io = io;
-      options.threads = kServerThreads;
-      options.max_connections = connections + 1;
-      QueryServer server(&registry, ExecuteRequestToJsonLine, options);
-      Status started = server.Start();
-      RWDOM_CHECK(started.ok()) << started;
+    GraphRegistry registry;
+    Status added = registry.Add(
+        kDefaultGraphName, std::make_unique<QueryContext>(
+                               GraphSubstrate(Graph(graph))));
+    RWDOM_CHECK(added.ok()) << added;
+    QueryContext& context = *registry.default_context();
+    ServerOptions options;
+    options.port = 0;
+    options.threads = kServerThreads;
+    options.max_connections = connections + 1;
+    QueryServer server(&registry, ExecuteRequestToJsonLine, options);
+    Status started = server.Start();
+    RWDOM_CHECK(started.ok()) << started;
 
-      std::vector<ClientRun> runs(connections);
-      WallTimer timer;
-      std::vector<std::thread> clients;
-      for (int c = 0; c < connections; ++c) {
-        clients.emplace_back([&, c] {
-          runs[c] = RunTimedClient(server.port(), client_lines);
-        });
-      }
-      for (std::thread& client : clients) client.join();
-      const double seconds = timer.Seconds();
-      server.Shutdown();
+    std::vector<ClientRun> runs(connections);
+    WallTimer timer;
+    std::vector<std::thread> clients;
+    for (int c = 0; c < connections; ++c) {
+      clients.emplace_back([&, c] {
+        runs[c] = RunTimedClient(server.port(), client_lines);
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    const double seconds = timer.Seconds();
+    server.Shutdown();
 
-      // Determinism gate: every client, every connection count, every
-      // io mode — same bytes per query index.
-      std::vector<double> latencies;
-      for (int c = 0; c < connections; ++c) {
-        RWDOM_CHECK(runs[c].status.ok())
-            << "io=" << IoModeName(io) << " client " << c << ": "
-            << runs[c].status;
-        latencies.insert(latencies.end(),
-                         runs[c].latencies_seconds.begin(),
-                         runs[c].latencies_seconds.end());
-        for (size_t i = 0; i < runs[c].responses.size(); ++i) {
-          const std::string normalized =
-              NormalizeSeconds(runs[c].responses[i]);
-          if (i == reference.size()) {
-            reference.push_back(normalized);
-          } else if (normalized != reference[i]) {
-            deterministic = false;
-            std::fprintf(stderr,
-                         "MISMATCH io=%s connections=%d client=%d "
-                         "query=%zu:\n  want: %s\n  got:  %s\n",
-                         IoModeName(io), connections, c, i,
-                         reference[i].c_str(), normalized.c_str());
-          }
+    // Determinism gate: every client, every connection count — same
+    // bytes per query index.
+    std::vector<double> latencies;
+    for (int c = 0; c < connections; ++c) {
+      RWDOM_CHECK(runs[c].status.ok())
+          << "client " << c << ": " << runs[c].status;
+      latencies.insert(latencies.end(),
+                       runs[c].latencies_seconds.begin(),
+                       runs[c].latencies_seconds.end());
+      for (size_t i = 0; i < runs[c].responses.size(); ++i) {
+        const std::string normalized =
+            NormalizeSeconds(runs[c].responses[i]);
+        if (i == reference.size()) {
+          reference.push_back(normalized);
+        } else if (normalized != reference[i]) {
+          deterministic = false;
+          std::fprintf(stderr,
+                       "MISMATCH connections=%d client=%d "
+                       "query=%zu:\n  want: %s\n  got:  %s\n",
+                       connections, c, i,
+                       reference[i].c_str(), normalized.c_str());
         }
       }
-      std::sort(latencies.begin(), latencies.end());
-
-      Row row;
-      row.io = io;
-      row.connections = connections;
-      row.queries_per_client = queries_per_client;
-      row.seconds = seconds;
-      const double total =
-          static_cast<double>(connections) * queries_per_client;
-      row.qps = seconds > 0.0 ? total / seconds : 0.0;
-      row.p50_seconds = Percentile(latencies, 0.50);
-      row.p99_seconds = Percentile(latencies, 0.99);
-      row.index_builds = context.index_builds();
-      row.index_hits = context.index_hits();
-      // One (L, R, seed) key across every client: the single-flight
-      // cache must build exactly once however many workers collide.
-      if (row.index_builds != 1) {
-        deterministic = false;
-        std::fprintf(stderr,
-                     "io=%s connections=%d: expected 1 index build, "
-                     "got %lld\n",
-                     IoModeName(io), connections,
-                     static_cast<long long>(row.index_builds));
-      }
-      rows.push_back(row);
     }
+    std::sort(latencies.begin(), latencies.end());
+
+    Row row;
+    row.connections = connections;
+    row.queries_per_client = queries_per_client;
+    row.seconds = seconds;
+    const double total =
+        static_cast<double>(connections) * queries_per_client;
+    row.qps = seconds > 0.0 ? total / seconds : 0.0;
+    row.p50_seconds = Percentile(latencies, 0.50);
+    row.p99_seconds = Percentile(latencies, 0.99);
+    row.index_builds = context.index_builds();
+    row.index_hits = context.index_hits();
+    // One (L, R, seed) key across every client: the single-flight
+    // cache must build exactly once however many shards collide.
+    if (row.index_builds != 1) {
+      deterministic = false;
+      std::fprintf(stderr,
+                   "connections=%d: expected 1 index build, got %lld\n",
+                   connections,
+                   static_cast<long long>(row.index_builds));
+    }
+    rows.push_back(row);
   }
   SetNumThreads(0);
 
-  TablePrinter table({"io", "connections", "q/client", "seconds",
+  TablePrinter table({"connections", "q/client", "seconds",
                       "queries/sec", "p50 ms", "p99 ms", "idx builds",
                       "idx hits"});
   for (const Row& row : rows) {
-    table.AddRow({IoModeName(row.io), std::to_string(row.connections),
+    table.AddRow({std::to_string(row.connections),
                   std::to_string(row.queries_per_client),
                   StrFormat("%.3f", row.seconds),
                   StrFormat("%.0f", row.qps),
@@ -276,8 +267,8 @@ int Run(int argc, char** argv) {
                   std::to_string(row.index_hits)});
   }
   table.Print();
-  std::printf("\nresponses identical across clients, connection counts "
-              "and io modes: %s\n",
+  std::printf("\nresponses identical across clients and connection "
+              "counts: %s\n",
               deterministic ? "yes" : "NO — BUG");
 
   JsonWriter json;
@@ -296,7 +287,6 @@ int Run(int argc, char** argv) {
   json.Key("series").BeginArray();
   for (const Row& row : rows) {
     json.BeginObject();
-    json.Key("io").String(IoModeName(row.io));
     json.Key("connections").Int(row.connections);
     json.Key("queries_per_client").Int(row.queries_per_client);
     json.Key("seconds").Number(row.seconds);

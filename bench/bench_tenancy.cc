@@ -140,7 +140,7 @@ int Run(int argc, char** argv) {
               kQueriesPerClient);
 
   // The serving configuration: no intra-query parallelism, concurrency
-  // comes from the server's workers.
+  // comes from the server's shards.
   SetNumThreads(1);
   ServerOptions options;
   options.port = 0;

@@ -129,9 +129,9 @@ Status RunServe(const CommandEnv& env) {
   }
   options.max_connections = static_cast<int>(max_connections);
   // The global --threads (or RWDOM_THREADS) doubles as the serving
-  // width — worker-pool size or event-loop shard count, per --io: one
-  // knob for "how parallel is this process". Within a dispatch, nested
-  // compute parallelism shares the one process-wide pool.
+  // width — the event-loop shard count: one knob for "how parallel is
+  // this process". Within a dispatch, nested compute parallelism shares
+  // the one process-wide pool.
   options.threads = NumThreads();
   RWDOM_ASSIGN_OR_RETURN(int64_t request_timeout_ms,
                          IntFlagOr(env.invocation, "request_timeout_ms", 0));
@@ -166,10 +166,6 @@ Status RunServe(const CommandEnv& env) {
     return Status::InvalidArgument("--retry_after_ms must be >= 0");
   }
   options.retry_after_ms = static_cast<int>(retry_after_ms);
-  const std::string io = FlagOr(env.invocation, "io", "");
-  if (!io.empty()) {
-    RWDOM_ASSIGN_OR_RETURN(options.io, ParseIoMode(io));
-  }
   RWDOM_ASSIGN_OR_RETURN(
       int64_t write_buffer_bytes,
       IntFlagOr(env.invocation, "write_buffer_bytes",
@@ -234,7 +230,7 @@ Status RunServe(const CommandEnv& env) {
   }
 
   // Declared after the registry and before the server, so destruction
-  // runs server (workers join, no more builds) -> caches (writers
+  // runs server (shards join, no more builds) -> caches (writers
   // drain) -> contexts — every order-sensitive handoff is scoped. The
   // default tenant keeps the v2 flat layout at the cache_dir root;
   // named tenants get their own subdirectory.
@@ -274,11 +270,11 @@ Status RunServe(const CommandEnv& env) {
   }
 
   env.out << StrFormat(
-      "serving %s substrate on %s:%d (io=%s, threads=%d, "
+      "serving %s substrate on %s:%d (io=epoll, threads=%d, "
       "max_connections=%d, protocol_version=%d)\n",
       registry.default_context()->substrate().kind().c_str(),
-      options.host.c_str(), server.port(), IoModeName(options.io),
-      options.threads, options.max_connections, kProtocolVersion);
+      options.host.c_str(), server.port(), options.threads,
+      options.max_connections, kProtocolVersion);
   if (registry.multi_graph()) {
     std::string names;
     for (const std::string& name : registry.GraphNames()) {
@@ -399,18 +395,13 @@ CommandDef MakeServeCommand() {
        "per-request-line byte cap; overlong lines answer InvalidArgument "
        "(default 1048576)"},
       {"max_queue_depth", "N",
-       "shed connections (Unavailable + retry_after_ms) when more than N "
-       "wait for a worker (default 0 = unbounded)"},
+       "shed new connections (Unavailable + retry_after_ms) once more "
+       "than --threads + N are open (default 0 = unbounded)"},
       {"retry_after_ms", "N",
        "backoff hint carried in shed/refusal errors (default 250)"},
-      {"io", "MODE",
-       "serving core: 'epoll' (non-blocking event loop with pipelining "
-       "and backpressure; Linux default) or 'threaded' (blocking worker "
-       "pool); RWDOM_IO overrides the default"},
       {"write_buffer_bytes", "N",
-       "epoll mode: per-connection cap on buffered response bytes; a "
-       "peer that stops draining past it is paused (backpressure) "
-       "(default 262144)"},
+       "per-connection cap on buffered response bytes; a peer that stops "
+       "draining past it is paused (backpressure) (default 262144)"},
       {"max_cache_bytes", "N",
        "index-cache memory budget, global across every served graph: "
        "LRU-evict fleet-wide under pressure, refuse builds that can "

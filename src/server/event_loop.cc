@@ -1,51 +1,115 @@
 #include "server/event_loop.h"
 
-#include <cstdlib>
+#include <chrono>
+#include <unordered_map>
 #include <utility>
 
+#include "server/protocol.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
 namespace rwdom {
 
-const char* IoModeName(IoMode mode) {
-  return mode == IoMode::kEpoll ? "epoll" : "threaded";
-}
-
-Result<IoMode> ParseIoMode(std::string_view name) {
-  if (name == "threaded") return IoMode::kThreaded;
-  if (name == "epoll") return IoMode::kEpoll;
-  return Status::InvalidArgument(
-      StrFormat("unknown io mode '%s' (want threaded|epoll)",
-                std::string(name).c_str()));
-}
-
-IoMode DefaultIoMode() {
-  const char* env = std::getenv("RWDOM_IO");
-  if (env != nullptr && *env != '\0') {
-    auto parsed = ParseIoMode(env);
-    if (parsed.ok()) return *parsed;
-    RWDOM_LOG(WARNING) << "ignoring unrecognized RWDOM_IO='" << env
-                       << "' (want threaded|epoll)";
+/// One event-loop thread and the connections it owns. Connections
+/// enter via Adopt (from the accept thread) and never migrate between
+/// shards. Counters, options and hooks are the owning front's.
+class EventLoopShard {
+ public:
+  explicit EventLoopShard(ConnectionFront& front)
+      : front_(front), options_(front.options_) {}
+  ~EventLoopShard() {
+    Stop();
+    Join();
   }
-#ifdef __linux__
-  return IoMode::kEpoll;
-#else
-  return IoMode::kThreaded;
-#endif
-}
 
-EventLoopShard::EventLoopShard(EventLoopConfig config, EventLoopHooks hooks)
-    : config_(config), hooks_(std::move(hooks)) {
-  RWDOM_CHECK(hooks_.handle_line != nullptr);
-  RWDOM_CHECK(hooks_.oversized_response != nullptr);
-}
+  EventLoopShard(const EventLoopShard&) = delete;
+  EventLoopShard& operator=(const EventLoopShard&) = delete;
 
-EventLoopShard::~EventLoopShard() {
-  Stop();
-  Join();
-}
+  /// Creates the epoll set + wake pipe and spawns the loop thread.
+  Status Start();
+
+  /// Hands a freshly accepted (already greeted) connection and its line
+  /// handler to this shard. Thread-safe. A connection adopted after
+  /// Stop() is closed without service.
+  void Adopt(UniqueFd connection, LineHandler handler);
+
+  /// Begins drain-and-exit (see event_loop.h). Non-blocking; idempotent.
+  void Stop();
+
+  /// Joins the loop thread. Call after Stop().
+  void Join();
+
+ private:
+  struct Connection {
+    UniqueFd fd;
+    LineHandler handler;
+    LineDecoder decoder;
+    /// Pending output; [out_offset, size) is unsent. Compacted rather
+    /// than erased per send so a slow drain is not quadratic.
+    std::string outbuf;
+    size_t out_offset = 0;
+    // Current epoll interest, to skip no-op EPOLL_CTL_MODs.
+    bool want_read = true;
+    bool want_write = false;
+    bool paused = false;     ///< Reads off at the write-buffer cap.
+    bool saw_eof = false;    ///< Peer half-closed; flush, then close.
+    bool close_after_flush = false;
+    /// Set while outbuf is non-empty; re-armed on any write progress,
+    /// so it times out stalls, not slow-but-moving drains. OS clock by
+    /// necessity: epoll_wait's timeout is kernel time.
+    std::chrono::steady_clock::time_point stall_since{};
+
+    Connection(UniqueFd fd_in, LineHandler handler_in, size_t max_line_bytes)
+        : fd(std::move(fd_in)),
+          handler(std::move(handler_in)),
+          decoder(max_line_bytes) {}
+  };
+
+  void Run();
+  void AdoptPending();
+  /// Full service of one readiness event: read + decode + dispatch +
+  /// flush + interest re-arm; closes the connection when it dies.
+  void ServiceConnection(const ReadyEvent& event);
+  /// Reads until EAGAIN/EOF (or backpressure pauses the connection),
+  /// dispatching decoded lines as they complete. Returns false on a
+  /// hard socket error.
+  bool ReadAndDecode(Connection& conn);
+  /// Drains decoded lines into dispatch + the write buffer, honoring
+  /// backpressure and shutdown.
+  void ProcessDecoded(Connection& conn);
+  /// Queues one response message (arming the socket.send fault site).
+  /// Returns false on an injected fault: flush what was already
+  /// queued, then close.
+  bool EnqueueResponse(Connection& conn, const std::string& response);
+  /// One pass of non-blocking sends. Returns false on a hard error.
+  bool FlushWrites(Connection& conn);
+  /// Flush + backpressure resume + close-after-flush. Returns false
+  /// when the connection should close now.
+  bool Flush(Connection& conn);
+  void UpdateInterest(Connection& conn);
+  void CloseConnection(int fd);
+  /// The epoll_wait budget: -1, or the nearest write-stall deadline.
+  int NextTimeoutMs() const;
+  /// Drops connections whose write buffer made no progress past
+  /// write_timeout_ms.
+  void SweepWriteStalls();
+  void EnterDrainMode();
+
+  ConnectionFront& front_;
+  const FrontOptions& options_;
+
+  EpollSet epoll_;
+  WakePipe wake_;
+  std::thread thread_;
+  std::atomic<bool> stopping_{false};
+
+  std::mutex inbox_mutex_;
+  std::vector<std::pair<UniqueFd, LineHandler>> inbox_;
+
+  std::unordered_map<int, Connection> connections_;
+  bool draining_ = false;  ///< Loop-thread view of stopping_.
+};
 
 Status EventLoopShard::Start() {
   RWDOM_ASSIGN_OR_RETURN(epoll_, EpollSet::Create());
@@ -59,10 +123,10 @@ Status EventLoopShard::Start() {
   return Status::OK();
 }
 
-void EventLoopShard::Adopt(UniqueFd connection) {
+void EventLoopShard::Adopt(UniqueFd connection, LineHandler handler) {
   {
     std::lock_guard<std::mutex> lock(inbox_mutex_);
-    inbox_.push_back(std::move(connection));
+    inbox_.emplace_back(std::move(connection), std::move(handler));
   }
   if (wake_.write_end.valid()) PokeWakePipe(wake_.write_end.get());
 }
@@ -76,15 +140,13 @@ void EventLoopShard::Join() {
   if (thread_.joinable()) thread_.join();
   // Connections adopted after the loop exited never got service; their
   // fds close here and the accept thread's active-connection increment
-  // is balanced, like a queued-but-never-served worker-pool connection.
-  std::vector<UniqueFd> orphans;
+  // is balanced.
+  std::vector<std::pair<UniqueFd, LineHandler>> orphans;
   {
     std::lock_guard<std::mutex> lock(inbox_mutex_);
     orphans.swap(inbox_);
   }
-  for ([[maybe_unused]] UniqueFd& orphan : orphans) {
-    if (hooks_.on_connection_closed) hooks_.on_connection_closed();
-  }
+  front_.active_connections_.fetch_sub(static_cast<int64_t>(orphans.size()));
 }
 
 void EventLoopShard::Run() {
@@ -97,8 +159,8 @@ void EventLoopShard::Run() {
     }
     auto waited = epoll_.Wait(&events, NextTimeoutMs());
     if (!waited.ok()) {
-      RWDOM_LOG(WARNING) << "rwdom serve: event loop wait failed: "
-                         << waited.status();
+      RWDOM_LOG(WARNING) << options_.role
+                         << ": event loop wait failed: " << waited.status();
       break;
     }
     bool woken = false;
@@ -120,23 +182,24 @@ void EventLoopShard::Run() {
 }
 
 void EventLoopShard::AdoptPending() {
-  std::vector<UniqueFd> adopted;
+  std::vector<std::pair<UniqueFd, LineHandler>> adopted;
   {
     std::lock_guard<std::mutex> lock(inbox_mutex_);
     adopted.swap(inbox_);
   }
-  for (UniqueFd& connection : adopted) {
+  for (auto& [connection, handler] : adopted) {
     if (draining_ || !SetNonBlocking(connection.get()).ok()) {
-      if (hooks_.on_connection_closed) hooks_.on_connection_closed();
+      front_.active_connections_.fetch_sub(1);
       continue;  // UniqueFd closes the socket on scope exit.
     }
     const int fd = connection.get();
     auto [it, inserted] = connections_.try_emplace(
-        fd, Connection(std::move(connection), config_.max_request_bytes));
+        fd, std::move(connection), std::move(handler),
+        options_.max_request_bytes);
     RWDOM_CHECK(inserted);
     if (!epoll_.Add(fd, /*want_read=*/true, /*want_write=*/false).ok()) {
       connections_.erase(it);
-      if (hooks_.on_connection_closed) hooks_.on_connection_closed();
+      front_.active_connections_.fetch_sub(1);
     }
   }
 }
@@ -185,14 +248,14 @@ void EventLoopShard::ProcessDecoded(Connection& conn) {
   std::string line;
   for (;;) {
     if (conn.close_after_flush) return;
-    if (conn.outbuf.size() - conn.out_offset >= config_.write_buffer_bytes) {
+    if (conn.outbuf.size() - conn.out_offset >= options_.write_buffer_bytes) {
       // Backpressure: the peer is not draining its responses, so this
       // connection stops being read (and its remaining decoded lines
       // stay buffered) until the write side catches up. Other
       // connections on the shard are unaffected.
       if (!conn.paused) {
         conn.paused = true;
-        if (hooks_.on_backpressure_pause) hooks_.on_backpressure_pause();
+        front_.backpressure_pauses_.fetch_add(1);
       }
       return;
     }
@@ -207,15 +270,15 @@ void EventLoopShard::ProcessDecoded(Connection& conn) {
         }
         return;
       case LineDecoder::Event::kOverflow:
-        if (!EnqueueResponse(conn, hooks_.oversized_response())) return;
+        front_.hooks_.on_oversized_line();
+        if (!EnqueueResponse(conn, front_.OversizedResponse())) return;
         break;
       case LineDecoder::Event::kLine: {
         std::string_view trimmed = StripWhitespace(line);
         if (trimmed.empty() || trimmed.front() == '#') break;
-        const std::string response = hooks_.handle_line(std::string(trimmed));
+        const std::string response = conn.handler(std::string(trimmed));
         if (!EnqueueResponse(conn, response)) return;
-        // Mirrors the threaded path's post-response stopping_ check: the
-        // in-flight response is delivered even mid-shutdown, further
+        // The in-flight response is delivered even mid-shutdown; further
         // pipelined requests on this connection are cut off.
         if (stopping_.load()) {
           conn.close_after_flush = true;
@@ -229,13 +292,11 @@ void EventLoopShard::ProcessDecoded(Connection& conn) {
 
 bool EventLoopShard::EnqueueResponse(Connection& conn,
                                      const std::string& response) {
-  // The fault site fires once per response message — the same cadence
-  // as the blocking SendAll path — so one RWDOM_FAULTS schedule counts
-  // identical sends in both io modes.
+  // The fault site fires once per response message, the same cadence
+  // as SendAll, so one RWDOM_FAULTS schedule counts whole messages.
   if (!FaultPoint("socket.send").ok()) {
-    // The blocking path drops the connection on a send fault; here the
-    // responses already queued ahead of this one were genuinely "sent"
-    // earlier in the blocking path's terms, so they still flush.
+    // A send fault drops the connection, but the responses queued ahead
+    // of this one were already "sent" and still flush.
     conn.close_after_flush = true;
     return false;
   }
@@ -275,7 +336,7 @@ bool EventLoopShard::Flush(Connection& conn) {
     const size_t pending = conn.outbuf.size() - conn.out_offset;
     if (pending == 0 && conn.close_after_flush) return false;
     if (conn.paused && !conn.close_after_flush && !draining_ &&
-        pending <= config_.write_buffer_bytes / 2) {
+        pending <= options_.write_buffer_bytes / 2) {
       // The peer caught up: resume dispatching the lines that were
       // decoded (or still sit undecoded) before the pause. EPOLLIN
       // comes back via UpdateInterest once we return.
@@ -302,17 +363,17 @@ void EventLoopShard::CloseConnection(int fd) {
   if (it == connections_.end()) return;
   (void)epoll_.Remove(fd);
   connections_.erase(it);  // UniqueFd closes the socket.
-  if (hooks_.on_connection_closed) hooks_.on_connection_closed();
+  front_.active_connections_.fetch_sub(1);
 }
 
 int EventLoopShard::NextTimeoutMs() const {
-  if (config_.write_timeout_ms <= 0) return -1;
+  if (options_.write_timeout_ms <= 0) return -1;
   const auto now = std::chrono::steady_clock::now();
   int best = -1;
   for (const auto& [fd, conn] : connections_) {
     if (conn.out_offset == conn.outbuf.size()) continue;
     const auto expiry =
-        conn.stall_since + std::chrono::milliseconds(config_.write_timeout_ms);
+        conn.stall_since + std::chrono::milliseconds(options_.write_timeout_ms);
     const auto remaining =
         std::chrono::duration_cast<std::chrono::milliseconds>(expiry - now)
             .count();
@@ -323,22 +384,24 @@ int EventLoopShard::NextTimeoutMs() const {
 }
 
 void EventLoopShard::SweepWriteStalls() {
-  if (config_.write_timeout_ms <= 0) return;
+  if (options_.write_timeout_ms <= 0) return;
   const auto now = std::chrono::steady_clock::now();
   std::vector<int> stalled;
   for (const auto& [fd, conn] : connections_) {
     if (conn.out_offset == conn.outbuf.size()) continue;
     if (now - conn.stall_since >=
-        std::chrono::milliseconds(config_.write_timeout_ms)) {
+        std::chrono::milliseconds(options_.write_timeout_ms)) {
       stalled.push_back(fd);
     }
   }
   for (int fd : stalled) {
-    if (hooks_.on_write_timeout) hooks_.on_write_timeout();
-    RWDOM_LOG(WARNING) << "rwdom serve: dropped stalled client (write "
-                       << "buffer idle past " << config_.write_timeout_ms
-                       << " ms)";
+    RWDOM_LOG(WARNING) << options_.role
+                       << ": dropped stalled client (write buffer idle past "
+                       << options_.write_timeout_ms << " ms)";
     CloseConnection(fd);
+    // Counted after the close, so whoever sees the count also sees the
+    // connection gone from active_connections.
+    front_.write_timeouts_.fetch_add(1);
   }
 }
 
@@ -354,6 +417,171 @@ void EventLoopShard::EnterDrainMode() {
     }
   }
   for (int fd : drained) CloseConnection(fd);
+}
+
+ConnectionFront::ConnectionFront(FrontOptions options, FrontHooks hooks)
+    : options_(std::move(options)), hooks_(std::move(hooks)) {
+  RWDOM_CHECK(options_.threads >= 1);
+  RWDOM_CHECK(options_.max_connections >= 1);
+  RWDOM_CHECK(hooks_.new_connection != nullptr);
+  RWDOM_CHECK(hooks_.on_oversized_line != nullptr);
+  // Created here, not in Start(), so NotifyShutdown — and a SIGINT
+  // handler routed through it — works from construction on; a poke that
+  // lands before Start() shuts the front down on its first accept.
+  auto wake = MakeWakePipe();
+  RWDOM_CHECK(wake.ok()) << wake.status();
+  wake_ = std::move(*wake);
+}
+
+ConnectionFront::~ConnectionFront() { Shutdown(); }
+
+Status ConnectionFront::Start(std::string greeting_line) {
+  {
+    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
+    RWDOM_CHECK(!started_) << "ConnectionFront::Start called twice";
+    started_ = true;
+  }
+  greeting_line_ = std::move(greeting_line);
+  RWDOM_ASSIGN_OR_RETURN(
+      listener_,
+      TcpListen(options_.host, options_.port,
+                /*backlog=*/options_.max_connections));
+  RWDOM_ASSIGN_OR_RETURN(port_, LocalPort(listener_.get()));
+  // The shards start before the accept thread so an adopted connection
+  // always has a live loop behind it.
+  shards_.reserve(static_cast<size_t>(options_.threads));
+  for (int i = 0; i < options_.threads; ++i) {
+    shards_.push_back(std::make_unique<EventLoopShard>(*this));
+    RWDOM_RETURN_IF_ERROR(shards_.back()->Start());
+  }
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  return Status::OK();
+}
+
+void ConnectionFront::NotifyShutdown() {
+  // Only an async-signal-safe write: the accept thread turns the poke
+  // into the actual state change.
+  if (wake_.write_end.valid()) PokeWakePipe(wake_.write_end.get());
+}
+
+void ConnectionFront::BeginShutdown() {
+  if (stopping_.exchange(true)) return;
+  // Both pokes are non-blocking, so a shard's own dispatch (the
+  // `shutdown` admin request) may be what got us here.
+  if (wake_.write_end.valid()) PokeWakePipe(wake_.write_end.get());
+  for (auto& shard : shards_) shard->Stop();
+}
+
+void ConnectionFront::AcceptLoop() {
+  for (;;) {
+    if (stopping_.load()) break;
+    auto accepted = AcceptWithWake(listener_.get(), wake_.read_end.get());
+    if (!accepted.ok()) {
+      RWDOM_LOG(WARNING) << options_.role
+                         << ": accept failed, shutting down: "
+                         << accepted.status();
+      break;
+    }
+    if (!accepted->has_value()) break;  // Woken: shutdown requested.
+    UniqueFd connection = std::move(**accepted);
+    connections_accepted_.fetch_add(1);
+    // Every accepted connection gets the greeting first — including one
+    // about to be refused — so a client can unconditionally consume
+    // exactly one greeting line before its first response (a refusal
+    // then arrives as the first "response"). A connection we cannot
+    // even greet is dropped.
+    if (!SendAll(connection.get(), greeting_line_ + "\n").ok()) continue;
+    const int64_t active = active_connections_.load();
+    if (active >= options_.max_connections) {
+      connections_rejected_.fetch_add(1);
+      Refuse(connection.get(),
+             StrFormat("%s at --max_connections=%d", options_.role.c_str(),
+                       options_.max_connections));
+      continue;
+    }
+    // Shed-on-overflow: past `threads` connections being served plus a
+    // backlog of max_queue_depth, refusing *now* with a backoff hint
+    // beats accepting work that will time out anyway.
+    if (options_.max_queue_depth > 0 &&
+        active >= options_.threads + options_.max_queue_depth) {
+      requests_shed_.fetch_add(1);
+      Refuse(connection.get(),
+             StrFormat("%s overloaded (queue depth %d)",
+                       options_.role.c_str(), options_.max_queue_depth));
+      continue;
+    }
+    active_connections_.fetch_add(1);
+    shards_[next_shard_++ % shards_.size()]->Adopt(std::move(connection),
+                                                   hooks_.new_connection());
+  }
+  BeginShutdown();
+  // Close the listening socket now (only this thread uses it), so the
+  // port refuses new connections as soon as shutdown begins rather than
+  // when the owner is destroyed.
+  listener_.reset();
+  {
+    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
+    stopped_ = true;
+  }
+  stopped_cv_.notify_all();
+}
+
+void ConnectionFront::Refuse(int fd, const std::string& message) const {
+  // Best-effort refusal line; the close is the real signal.
+  (void)SendAll(
+      fd, ErrorResponseLine("Unavailable", message, options_.retry_after_ms) +
+              "\n");
+}
+
+std::string ConnectionFront::OversizedResponse() const {
+  return ErrorResponseLine(
+      "InvalidArgument",
+      StrFormat("request line exceeds --max_request_bytes=%zu",
+                options_.max_request_bytes));
+}
+
+FrontStats ConnectionFront::stats() const {
+  FrontStats stats;
+  stats.connections_accepted = connections_accepted_.load();
+  stats.connections_rejected = connections_rejected_.load();
+  stats.active_connections = active_connections_.load();
+  stats.requests_shed = requests_shed_.load();
+  stats.write_timeouts = write_timeouts_.load();
+  stats.backpressure_pauses = backpressure_pauses_.load();
+  return stats;
+}
+
+void ConnectionFront::Shutdown() {
+  {
+    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
+    if (!started_) return;
+  }
+  BeginShutdown();
+  Join();
+}
+
+void ConnectionFront::Wait() {
+  {
+    std::unique_lock<std::mutex> lock(lifecycle_mutex_);
+    if (!started_) return;
+    stopped_cv_.wait(lock, [this] { return stopped_; });
+  }
+  Join();
+}
+
+void ConnectionFront::Join() {
+  // join_mutex_ is never taken by front threads, so holding it across
+  // the joins cannot deadlock (lifecycle_mutex_ is taken by the accept
+  // thread right before it exits); concurrent Join callers serialize
+  // and all return only after every thread finished.
+  std::lock_guard<std::mutex> lock(join_mutex_);
+  if (joined_) return;
+  if (accept_thread_.joinable()) accept_thread_.join();
+  for (auto& shard : shards_) {
+    shard->Stop();
+    shard->Join();
+  }
+  joined_ = true;
 }
 
 }  // namespace rwdom

@@ -1,46 +1,46 @@
-// The non-blocking serving core behind `rwdom serve --io=epoll`: N
-// independent event-loop shards, each owning an epoll set and a slice
-// of the accepted connections. Compared to the worker-pool path a
-// shard never parks a thread on one peer's socket, which buys two
-// things the blocking design cannot express:
+// The one connection-serving core behind `rwdom serve` and `rwdom
+// route`: an accept thread plus N non-blocking event-loop shards. Its
+// owner (QueryServer or QueryRouter) only answers lines; everything
+// between the listening socket and those answers lives here.
 //
-//   * Request pipelining — a connection may have any number of JSONL
-//     request lines in flight; responses are computed and written in
-//     request order (dispatch itself stays synchronous inside the
-//     shard, so ordering is by construction, not by sequence numbers).
-//   * Per-connection backpressure — each connection's pending output
-//     lives in a bounded write buffer. When a peer stops draining and
-//     the buffer crosses its cap, the shard *stops reading* from that
+//   * Accept path — one accept thread (poll on the listener + a wake
+//     pipe) greets every connection, refuses past max_connections,
+//     sheds past threads + max_queue_depth, and deals admitted
+//     connections to the shards round-robin. Refusals go out over the
+//     fresh blocking socket, before any shard sees the connection.
+//   * Shards — each owns an epoll set, a wake pipe and a slice of the
+//     connections; connections never migrate. Per connection: framing
+//     (util/socket.h's LineDecoder), a line handler obtained from the
+//     owner at adoption, and a bounded write buffer.
+//   * Request pipelining — a connection may have any number of request
+//     lines in flight; responses are computed and written in request
+//     order (dispatch is synchronous inside the shard, so ordering is by
+//     construction, not by sequence numbers).
+//   * Per-connection backpressure — when a peer stops draining and its
+//     write buffer crosses the cap, the shard *stops reading* from that
 //     connection (EPOLLIN off) instead of buffering without bound;
-//     reading resumes once the buffer drains below half the cap. A
-//     peer stalled past --write_timeout_ms is dropped, exactly like
-//     the threaded path.
+//     reading resumes once the buffer drains below half the cap. A peer
+//     whose buffer makes no progress for write_timeout_ms is dropped.
+//   * The `socket.send` fault site is armed once per response message.
 //
-// Division of labor: the accept thread (owned by QueryServer in both
-// io modes) still greets, refuses and sheds connections — by the time
-// a shard adopts a connection it is a fully admitted peer. The shard
-// handles framing (util/socket.h's LineDecoder), dispatch via hooks
-// into the server (deadlines, admin commands, counters all live
-// there), buffered writes, and the `socket.send` fault site (armed
-// once per response message, matching the blocking sender's cadence).
-//
-// Shutdown: Stop() flips a flag and pokes the shard's wake pipe. The
-// shard then stops reading everywhere, finishes writing what is
-// already buffered (an in-flight response is delivered even
+// Shutdown: NotifyShutdown() only pokes the accept thread's wake pipe
+// (async-signal-safe). The accept thread closes the listener and stops
+// every shard; a shard then stops reading everywhere, finishes writing
+// what is already buffered (an in-flight response is delivered even
 // mid-shutdown; further pipelined requests are cut off), closes each
 // connection as it drains, and exits.
 #ifndef RWDOM_SERVER_EVENT_LOOP_H_
 #define RWDOM_SERVER_EVENT_LOOP_H_
 
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "util/socket.h"
@@ -48,151 +48,131 @@
 
 namespace rwdom {
 
-/// Which serving core `QueryServer` runs. Both speak the identical wire
-/// protocol; the threaded path is kept as the diff-testing reference
-/// (and the only option off-Linux).
-enum class IoMode {
-  kThreaded,  ///< Accept thread + worker pool, blocking sockets.
-  kEpoll,     ///< Event-loop shards, non-blocking sockets (Linux).
-};
+/// Default per-connection cap on buffered, unsent response bytes.
+inline constexpr size_t kDefaultWriteBufferBytes = 256 * 1024;
 
-const char* IoModeName(IoMode mode);
-Result<IoMode> ParseIoMode(std::string_view name);
+/// One connection's request handler: a trimmed, non-empty, non-comment
+/// request line -> exactly one response line (no trailing newline).
+/// Called only from the connection's shard thread, so state it captures
+/// for its connection needs no lock; destroyed when the connection
+/// closes. Different shards call their handlers concurrently.
+using LineHandler = std::function<std::string(const std::string& line)>;
 
-/// The build/platform default: epoll on Linux, threaded elsewhere. The
-/// `RWDOM_IO` environment variable ("epoll"/"threaded") overrides —
-/// that is how CI lanes run one binary's test suite under both cores.
-IoMode DefaultIoMode();
-
-struct EventLoopConfig {
-  /// Budget for a peer that stops draining its socket while responses
-  /// are pending; past it the connection is dropped. 0 = no limit.
-  int write_timeout_ms = 30'000;
-  /// Per-request-line byte cap (the LineDecoder's max_line_bytes).
+struct FrontOptions {
+  std::string host = "127.0.0.1";
+  int port = 0;  ///< 0 picks an ephemeral port (see ConnectionFront::port).
+  int threads = 4;  ///< Event-loop shards.
+  int max_connections = 64;
+  /// Shed new connections once more than threads + max_queue_depth are
+  /// open. 0 = never shed.
+  int max_queue_depth = 0;
+  int retry_after_ms = 250;  ///< Backoff hint in refusal/shed lines.
+  int write_timeout_ms = 30'000;  ///< Stalled-writer drop; 0 = no limit.
   size_t max_request_bytes = LineDecoder::kDefaultMaxLineBytes;
-  /// Backpressure cap on a connection's buffered, unsent output.
-  /// Crossing it pauses reads from that connection; reads resume below
-  /// half of it.
-  size_t write_buffer_bytes = 256 * 1024;
+  size_t write_buffer_bytes = kDefaultWriteBufferBytes;
+  /// "server" or "router": names the owner in its refusal and shed
+  /// lines ("<role> at --max_connections=N") and in log lines.
+  std::string role = "server";
 };
 
-/// The shard's upcalls into QueryServer. All counters, deadlines and
-/// response formatting live server-side so the two io modes cannot
-/// drift; the shard only frames, orders and buffers. Every hook is
-/// called from the shard's own thread (but different shards call
-/// concurrently — the server side must be thread-safe, which it
-/// already is for the worker pool).
-struct EventLoopHooks {
-  /// One trimmed, non-empty, non-comment request line -> exactly one
-  /// JSON response line (no trailing newline). The server wraps its
-  /// HandleLine: the request's deadline starts here, at dispatch —
-  /// which under this core is also arrival, since decoded lines are
-  /// dispatched immediately.
-  std::function<std::string(const std::string& line)> handle_line;
-  /// An over-cap request line was discarded (stream already resynced);
-  /// returns the error response line to send in its place.
-  std::function<std::string()> oversized_response;
-  /// A connection was dropped for stalling past write_timeout_ms.
-  std::function<void()> on_write_timeout;
-  /// A connection's reads were paused at the write-buffer cap.
-  std::function<void()> on_backpressure_pause;
-  /// Any connection closed, for whatever reason (balances the accept
-  /// thread's active-connection increment).
-  std::function<void()> on_connection_closed;
+/// The owner's upcalls; both may be called concurrently.
+struct FrontHooks {
+  /// Called on the accept thread once per admitted connection.
+  std::function<LineHandler()> new_connection;
+  /// An over-cap request line was discarded (the stream already
+  /// resynced at its newline); the front answers it with a typed
+  /// InvalidArgument line, the owner counts it.
+  std::function<void()> on_oversized_line;
 };
 
-/// One event-loop thread and the connections it owns. Connections
-/// enter via Adopt (any thread) and never migrate between shards.
-class EventLoopShard {
+/// Connection-level counters, read by the owner's stats.
+struct FrontStats {
+  int64_t connections_accepted = 0;
+  int64_t connections_rejected = 0;  ///< Refused at max_connections.
+  int64_t active_connections = 0;
+  int64_t requests_shed = 0;  ///< Shed at threads + max_queue_depth.
+  int64_t write_timeouts = 0;  ///< Peers dropped for stalling.
+  /// Connections whose reads were paused at the write-buffer cap.
+  int64_t backpressure_pauses = 0;
+};
+
+class EventLoopShard;
+
+class ConnectionFront {
  public:
-  EventLoopShard(EventLoopConfig config, EventLoopHooks hooks);
-  ~EventLoopShard();
+  ConnectionFront(FrontOptions options, FrontHooks hooks);
+  ~ConnectionFront();
 
-  EventLoopShard(const EventLoopShard&) = delete;
-  EventLoopShard& operator=(const EventLoopShard&) = delete;
+  ConnectionFront(const ConnectionFront&) = delete;
+  ConnectionFront& operator=(const ConnectionFront&) = delete;
 
-  /// Creates the epoll set + wake pipe and spawns the loop thread.
-  Status Start();
+  /// Binds, listens, and spawns the shards and the accept thread; every
+  /// accepted connection is greeted with `greeting_line` first. Call
+  /// once.
+  Status Start(std::string greeting_line);
 
-  /// Hands a freshly accepted (already greeted) connection to this
-  /// shard. Thread-safe. A connection adopted after Stop() is closed
-  /// without service, like a queued-but-never-served connection in the
-  /// threaded path.
-  void Adopt(UniqueFd connection);
+  /// The actually bound port (== options.port unless that was 0).
+  int port() const { return port_; }
 
-  /// Begins drain-and-exit (see file comment). Async-safe enough for
-  /// any thread; idempotent.
-  void Stop();
+  /// Begins a graceful shutdown. Async-signal-safe: only writes one
+  /// byte to the accept thread's wake pipe, so SIGINT handlers may call
+  /// it; valid from construction on.
+  void NotifyShutdown();
 
-  /// Joins the loop thread. Call after Stop().
-  void Join();
+  /// Begins a graceful shutdown from any thread, a line handler's
+  /// included (it never blocks). Idempotent.
+  void BeginShutdown();
+
+  /// BeginShutdown + wait for every thread to finish. Idempotent.
+  void Shutdown();
+
+  /// Blocks until the front shut down (BeginShutdown, NotifyShutdown, or
+  /// a fatal accept error) and every thread is joined.
+  void Wait();
+
+  FrontStats stats() const;
 
  private:
-  struct Connection {
-    UniqueFd fd;
-    LineDecoder decoder;
-    /// Pending output; [out_offset, size) is unsent. Compacted rather
-    /// than erased per send so a slow drain is not quadratic.
-    std::string outbuf;
-    size_t out_offset = 0;
-    // Current epoll interest, to skip no-op EPOLL_CTL_MODs.
-    bool want_read = true;
-    bool want_write = false;
-    bool paused = false;     ///< Reads off at the write-buffer cap.
-    bool saw_eof = false;    ///< Peer half-closed; flush, then close.
-    bool close_after_flush = false;
-    /// Set while outbuf is non-empty; re-armed on any write progress,
-    /// so it times out stalls, not slow-but-moving drains. OS clock by
-    /// necessity, like SendAllWithin's budget.
-    std::chrono::steady_clock::time_point stall_since{};
+  friend class EventLoopShard;
 
-    explicit Connection(UniqueFd fd_in, size_t max_line_bytes)
-        : fd(std::move(fd_in)), decoder(max_line_bytes) {}
-  };
+  void AcceptLoop();
+  /// Sends `message` as an Unavailable line with the retry hint; the
+  /// caller then closes the connection.
+  void Refuse(int fd, const std::string& message) const;
+  /// The line sent in place of an over-cap request line.
+  std::string OversizedResponse() const;
+  void Join();
 
-  void Run();
-  void AdoptPending();
-  /// Full service of one readiness event: read + decode + dispatch +
-  /// flush + interest re-arm; closes the connection when it dies.
-  void ServiceConnection(const ReadyEvent& event);
-  /// Reads until EAGAIN/EOF (or backpressure pauses the connection),
-  /// dispatching decoded lines as they complete. Returns false on a
-  /// hard socket error.
-  bool ReadAndDecode(Connection& conn);
-  /// Drains decoded lines into dispatch + the write buffer, honoring
-  /// backpressure and shutdown.
-  void ProcessDecoded(Connection& conn);
-  /// Queues one response message (arming the socket.send fault site).
-  /// Returns false on an injected fault: flush what was already
-  /// queued, then close — the blocking path's "drop on send error".
-  bool EnqueueResponse(Connection& conn, const std::string& response);
-  /// One pass of non-blocking sends. Returns false on a hard error.
-  bool FlushWrites(Connection& conn);
-  /// Flush + backpressure resume + close-after-flush. Returns false
-  /// when the connection should close now.
-  bool Flush(Connection& conn);
-  void UpdateInterest(Connection& conn);
-  void CloseConnection(int fd);
-  /// The epoll_wait budget: -1, or the nearest write-stall deadline.
-  int NextTimeoutMs() const;
-  /// Drops connections whose write buffer made no progress past
-  /// write_timeout_ms.
-  void SweepWriteStalls();
-  void EnterDrainMode();
+  const FrontOptions options_;
+  const FrontHooks hooks_;
+  std::string greeting_line_;
 
-  const EventLoopConfig config_;
-  const EventLoopHooks hooks_;
-
-  EpollSet epoll_;
+  UniqueFd listener_;
   WakePipe wake_;
-  std::thread thread_;
+  int port_ = 0;
+
   std::atomic<bool> stopping_{false};
+  std::thread accept_thread_;
 
-  std::mutex inbox_mutex_;
-  std::vector<UniqueFd> inbox_;
+  std::mutex lifecycle_mutex_;
+  std::condition_variable stopped_cv_;
+  bool started_ = false;
+  bool stopped_ = false;
+  std::mutex join_mutex_;  ///< Guards joined_; see Join().
+  bool joined_ = false;
 
-  std::unordered_map<int, Connection> connections_;
-  bool draining_ = false;  ///< Loop-thread view of stopping_.
+  std::atomic<int64_t> connections_accepted_{0};
+  std::atomic<int64_t> connections_rejected_{0};
+  std::atomic<int64_t> active_connections_{0};
+  std::atomic<int64_t> requests_shed_{0};
+  std::atomic<int64_t> write_timeouts_{0};
+  std::atomic<int64_t> backpressure_pauses_{0};
+
+  /// Declared last, so shards (which bump the counters above) are
+  /// destroyed first. unique_ptr because a shard's thread references
+  /// it — shards must not move.
+  std::vector<std::unique_ptr<EventLoopShard>> shards_;
+  size_t next_shard_ = 0;  ///< Accept thread only.
 };
 
 }  // namespace rwdom

@@ -42,6 +42,19 @@ inline std::vector<std::string> BaseCapabilities() {
           "shutdown"};
 }
 
+/// The greeting every accepted connection receives before anything
+/// else: {"rwdom":{"protocol_version":N,"capabilities":[...]}}. No
+/// trailing newline.
+inline std::string GreetingLine(const std::vector<std::string>& capabilities) {
+  JsonWriter json;
+  json.BeginObject().Key("rwdom").BeginObject();
+  json.Key("protocol_version").Int(kProtocolVersion);
+  json.Key("capabilities").BeginArray();
+  for (const std::string& capability : capabilities) json.String(capability);
+  json.EndArray().EndObject().EndObject();
+  return json.ToString();
+}
+
 /// The protocol's one error-line shape, shared by the server and the
 /// router so clients see identical framing from both:
 /// {"error":{"code":...,"message":...[,"retry_after_ms":N]}}. A

@@ -29,6 +29,38 @@ uint64_t NameHash(std::string_view name) {
   return fp.Digest();
 }
 
+/// The cached link to `address` in `clients`, connecting on first use.
+Result<QueryClient*> BackendFor(const std::string& address,
+                                std::map<std::string, QueryClient>& clients) {
+  auto it = clients.find(address);
+  if (it != clients.end()) return &it->second;
+  const size_t colon = address.rfind(':');
+  if (colon == std::string::npos) {
+    return Status::InvalidArgument("backend address needs HOST:PORT: " +
+                                   address);
+  }
+  RWDOM_ASSIGN_OR_RETURN(int64_t port,
+                         ParseInt64(address.substr(colon + 1)));
+  RWDOM_ASSIGN_OR_RETURN(
+      QueryClient client,
+      QueryClient::Connect(address.substr(0, colon),
+                           static_cast<int>(port)));
+  return &clients.emplace(address, std::move(client)).first->second;
+}
+
+FrontOptions FrontFor(const RouterOptions& options) {
+  FrontOptions front;
+  front.host = options.host;
+  front.port = options.port;
+  front.threads = options.threads;
+  front.max_connections = options.max_connections;
+  front.retry_after_ms = options.retry_after_ms;
+  front.write_timeout_ms = options.write_timeout_ms;
+  front.max_request_bytes = options.max_request_bytes;
+  front.role = "router";
+  return front;
+}
+
 }  // namespace
 
 HashRing::HashRing(std::vector<std::string> backends)
@@ -67,23 +99,23 @@ std::vector<const std::string*> HashRing::RouteOrder(
 
 QueryRouter::QueryRouter(std::vector<std::string> backends,
                          RouterOptions options)
-    : ring_(std::move(backends)), options_(std::move(options)) {
+    : ring_(std::move(backends)),
+      options_(std::move(options)),
+      front_(FrontFor(options_),
+             {/*new_connection=*/
+              [this] {
+                return LineHandler(
+                    [this, clients = BackendClients()](
+                        const std::string& line) mutable {
+                      return RouteLine(line, clients);
+                    });
+              },
+              /*on_oversized_line=*/
+              [this] { requests_error_.fetch_add(1); }}) {
   RWDOM_CHECK(!ring_.backends().empty()) << "QueryRouter needs backends";
-  RWDOM_CHECK(options_.threads >= 1);
-  RWDOM_CHECK(options_.max_connections >= 1);
-  auto wake = MakeWakePipe();
-  RWDOM_CHECK(wake.ok()) << wake.status();
-  wake_ = std::move(*wake);
 }
 
-QueryRouter::~QueryRouter() { Shutdown(); }
-
 Status QueryRouter::Start() {
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    RWDOM_CHECK(!started_) << "QueryRouter::Start called twice";
-    started_ = true;
-  }
   // Probe the backends for their capability tags (best effort — a down
   // backend just contributes nothing) and greet clients with the union
   // plus "router", so feature detection works one hop removed.
@@ -95,7 +127,7 @@ Status QueryRouter::Start() {
     }
   };
   for (const std::string& address : ring_.backends()) {
-    auto probed = BackendClients();
+    BackendClients probed;
     auto client = BackendFor(address, probed);
     if (!client.ok()) continue;
     for (const std::string& tag : (*client)->server_greeting().capabilities) {
@@ -104,151 +136,7 @@ Status QueryRouter::Start() {
   }
   if (capabilities.empty()) capabilities = BaseCapabilities();
   add_capability("router");
-  {
-    JsonWriter json;
-    json.BeginObject();
-    json.Key("rwdom").BeginObject();
-    json.Key("protocol_version").Int(kProtocolVersion);
-    json.Key("capabilities").BeginArray();
-    for (const std::string& tag : capabilities) json.String(tag);
-    json.EndArray();
-    json.EndObject();
-    json.EndObject();
-    greeting_line_ = json.ToString();
-  }
-  RWDOM_ASSIGN_OR_RETURN(
-      listener_,
-      TcpListen(options_.host, options_.port,
-                /*backlog=*/options_.max_connections));
-  RWDOM_ASSIGN_OR_RETURN(port_, LocalPort(listener_.get()));
-  workers_.reserve(static_cast<size_t>(options_.threads));
-  for (int i = 0; i < options_.threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void QueryRouter::NotifyShutdown() {
-  if (wake_.write_end.valid()) PokeWakePipe(wake_.write_end.get());
-}
-
-void QueryRouter::BeginShutdown() {
-  if (stopping_.exchange(true)) return;
-  if (wake_.write_end.valid()) PokeWakePipe(wake_.write_end.get());
-  {
-    // Lost-wakeup bracket, same as QueryServer::BeginShutdown.
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-  }
-  queue_cv_.notify_all();
-}
-
-void QueryRouter::AcceptLoop() {
-  for (;;) {
-    if (stopping_.load()) break;
-    auto accepted = AcceptWithWake(listener_.get(), wake_.read_end.get());
-    if (!accepted.ok()) {
-      RWDOM_LOG(WARNING) << "rwdom route: accept failed, shutting down: "
-                         << accepted.status();
-      break;
-    }
-    if (!accepted->has_value()) break;  // Woken: shutdown requested.
-    UniqueFd connection = std::move(**accepted);
-    connections_accepted_.fetch_add(1);
-    if (!SendAll(connection.get(), greeting_line_ + "\n").ok()) continue;
-    if (active_connections_.load() >= options_.max_connections) {
-      connections_rejected_.fetch_add(1);
-      (void)SendAll(connection.get(),
-                    ErrorResponseLine(
-                        "Unavailable",
-                        StrFormat("router at --max_connections=%d",
-                                  options_.max_connections),
-                        options_.retry_after_ms) +
-                        "\n");
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      active_connections_.fetch_add(1);
-      pending_.push_back(std::move(connection));
-    }
-    queue_cv_.notify_one();
-  }
-  BeginShutdown();
-  listener_.reset();
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    stopped_ = true;
-  }
-  stopped_cv_.notify_all();
-}
-
-void QueryRouter::WorkerLoop() {
-  for (;;) {
-    UniqueFd connection;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_.load() || !pending_.empty();
-      });
-      if (pending_.empty()) return;  // Stopping and drained.
-      connection = std::move(pending_.front());
-      pending_.pop_front();
-      if (stopping_.load()) {
-        active_connections_.fetch_sub(1);
-        continue;
-      }
-    }
-    ServeConnection(std::move(connection));
-    active_connections_.fetch_sub(1);
-  }
-}
-
-void QueryRouter::ServeConnection(UniqueFd connection) {
-  LineReader reader(connection.get(), options_.max_request_bytes);
-  BackendClients clients;
-  std::string line;
-  const auto cancelled = [this] { return stopping_.load(); };
-  for (;;) {
-    auto outcome = reader.ReadLine(&line, cancelled, /*poll_interval_ms=*/50);
-    if (!outcome.ok()) break;
-    std::string response;
-    if (*outcome == LineReader::Outcome::kOverflow) {
-      requests_error_.fetch_add(1);
-      response = ErrorResponseLine(
-          "InvalidArgument",
-          StrFormat("request line exceeds --max_request_bytes=%zu",
-                    options_.max_request_bytes));
-    } else if (*outcome != LineReader::Outcome::kLine) {
-      break;
-    } else {
-      std::string_view trimmed = StripWhitespace(line);
-      if (trimmed.empty() || trimmed.front() == '#') continue;
-      response = RouteLine(std::string(trimmed), clients);
-    }
-    const Status sent = SendAllWithin(connection.get(), response + "\n",
-                                      options_.write_timeout_ms);
-    if (!sent.ok()) break;
-    if (stopping_.load()) break;
-  }
-}
-
-Result<QueryClient*> QueryRouter::BackendFor(const std::string& address,
-                                             BackendClients& clients) {
-  auto it = clients.find(address);
-  if (it != clients.end()) return &it->second;
-  const size_t colon = address.rfind(':');
-  if (colon == std::string::npos) {
-    return Status::InvalidArgument("backend address needs HOST:PORT: " +
-                                   address);
-  }
-  RWDOM_ASSIGN_OR_RETURN(int64_t port,
-                         ParseInt64(address.substr(colon + 1)));
-  RWDOM_ASSIGN_OR_RETURN(
-      QueryClient client,
-      QueryClient::Connect(address.substr(0, colon),
-                           static_cast<int>(port)));
-  return &clients.emplace(address, std::move(client)).first->second;
+  return front_.Start(GreetingLine(capabilities));
 }
 
 std::string QueryRouter::RouteLine(const std::string& line,
@@ -338,52 +226,21 @@ std::string QueryRouter::FanOutAdmin(const std::string& line,
   requests_proxied_.fetch_add(1);
   // The shutdown response still goes out to this client; the router
   // stops accepting afterwards, exactly like a backend's own shutdown.
-  if (is_shutdown) BeginShutdown();
+  if (is_shutdown) front_.BeginShutdown();
   return json.ToString();
 }
 
 RouterStats QueryRouter::stats() const {
+  const FrontStats front = front_.stats();
   RouterStats stats;
-  stats.connections_accepted = connections_accepted_.load();
-  stats.connections_rejected = connections_rejected_.load();
-  stats.active_connections = active_connections_.load();
+  stats.connections_accepted = front.connections_accepted;
+  stats.connections_rejected = front.connections_rejected;
+  stats.active_connections = front.active_connections;
   stats.requests_proxied = requests_proxied_.load();
   stats.requests_error = requests_error_.load();
   stats.failovers = failovers_.load();
   stats.admin_fanouts = admin_fanouts_.load();
   return stats;
-}
-
-void QueryRouter::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    if (!started_) return;
-  }
-  BeginShutdown();
-  Join();
-}
-
-void QueryRouter::Wait() {
-  {
-    std::unique_lock<std::mutex> lock(lifecycle_mutex_);
-    if (!started_) return;
-    stopped_cv_.wait(lock, [this] { return stopped_; });
-  }
-  Join();
-}
-
-void QueryRouter::Join() {
-  std::lock_guard<std::mutex> lock(join_mutex_);
-  if (joined_) return;
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    std::lock_guard<std::mutex> queue_lock(queue_mutex_);
-  }
-  queue_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  joined_ = true;
 }
 
 }  // namespace rwdom

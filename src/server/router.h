@@ -28,23 +28,22 @@
 // Request lines are forwarded byte-for-byte (after whitespace
 // trimming), so a response through the router is the exact line the
 // backend produced — the byte-identity contract clients already rely
-// on, now one hop removed.
+// on, now one hop removed. Connections are served by the same
+// ConnectionFront as `rwdom serve` (server/event_loop.h), so clients
+// may pipeline through the router too.
 #ifndef RWDOM_SERVER_ROUTER_H_
 #define RWDOM_SERVER_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "server/client.h"
+#include "server/event_loop.h"
 #include "util/socket.h"
 #include "util/status.h"
 
@@ -102,80 +101,52 @@ class QueryRouter {
   /// router's lifetime. Backends may be down at construction — the ring
   /// routes around them until they return.
   QueryRouter(std::vector<std::string> backends, RouterOptions options);
-  ~QueryRouter();
 
   QueryRouter(const QueryRouter&) = delete;
   QueryRouter& operator=(const QueryRouter&) = delete;
 
   /// Probes the backends for their greetings (best effort), binds,
-  /// listens and spawns the accept + worker threads. Call once.
+  /// listens and spawns the accept + shard threads. Call once.
   Status Start();
 
   /// The actually bound port (== options.port unless that was 0).
-  int port() const { return port_; }
+  int port() const { return front_.port(); }
 
   const HashRing& ring() const { return ring_; }
 
   /// Async-signal-safe shutdown poke, same contract as QueryServer.
-  void NotifyShutdown();
+  void NotifyShutdown() { front_.NotifyShutdown(); }
 
   /// NotifyShutdown + wait for every thread to finish. Idempotent.
-  void Shutdown();
+  void Shutdown() { front_.Shutdown(); }
 
   /// Blocks until the router shut down and every thread is joined.
-  void Wait();
+  void Wait() { front_.Wait(); }
 
   RouterStats stats() const;
 
  private:
   /// Per-connection cache of live backend connections: session affinity
-  /// without locks (each map is owned by one worker's connection frame).
+  /// without locks (each map is owned by one client connection's line
+  /// handler and lives as long as that connection).
   using BackendClients = std::map<std::string, QueryClient>;
 
-  void BeginShutdown();
-  void AcceptLoop();
-  void WorkerLoop();
-  void ServeConnection(UniqueFd connection);
   /// One request line -> one response line (routed or scatter-gathered).
   std::string RouteLine(const std::string& line, BackendClients& clients);
   std::string FanOutAdmin(const std::string& line, BackendClients& clients,
                           bool is_shutdown);
-  Result<QueryClient*> BackendFor(const std::string& address,
-                                  BackendClients& clients);
-  void Join();
 
   const HashRing ring_;
   const RouterOptions options_;
-  /// The router's own greeting: the union of the backends' capability
-  /// tags (probed at Start) plus "router".
-  std::string greeting_line_;
 
-  UniqueFd listener_;
-  WakePipe wake_;
-  int port_ = 0;
-
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<UniqueFd> pending_;
-
-  std::mutex lifecycle_mutex_;
-  std::condition_variable stopped_cv_;
-  bool started_ = false;
-  bool stopped_ = false;
-  std::mutex join_mutex_;
-  bool joined_ = false;
-
-  std::atomic<int64_t> connections_accepted_{0};
-  std::atomic<int64_t> connections_rejected_{0};
-  std::atomic<int64_t> active_connections_{0};
   std::atomic<int64_t> requests_proxied_{0};
   std::atomic<int64_t> requests_error_{0};
   std::atomic<int64_t> failovers_{0};
   std::atomic<int64_t> admin_fanouts_{0};
+
+  /// Declared last: destroyed (and joined) first, before anything its
+  /// threads call into.
+  ConnectionFront front_;
 };
 
 }  // namespace rwdom

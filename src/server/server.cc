@@ -9,295 +9,64 @@
 
 namespace rwdom {
 
+namespace {
+
+FrontOptions FrontFor(const ServerOptions& options) {
+  FrontOptions front;
+  front.host = options.host;
+  front.port = options.port;
+  front.threads = options.threads;
+  front.max_connections = options.max_connections;
+  front.max_queue_depth = options.max_queue_depth;
+  front.retry_after_ms = options.retry_after_ms;
+  front.write_timeout_ms = options.write_timeout_ms;
+  front.max_request_bytes = options.max_request_bytes;
+  front.write_buffer_bytes = options.write_buffer_bytes;
+  front.role = "server";
+  return front;
+}
+
+}  // namespace
+
 QueryServer::QueryServer(GraphRegistry* registry, LineExecutor executor,
                          ServerOptions options)
     : registry_(registry),
       executor_(std::move(executor)),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      front_(FrontFor(options_),
+             {/*new_connection=*/
+              [this] {
+                return LineHandler([this](const std::string& line) {
+                  return HandleLine(line);
+                });
+              },
+              /*on_oversized_line=*/
+              [this] {
+                oversized_requests_.fetch_add(1);
+                queries_error_.fetch_add(1);
+              }}) {
   RWDOM_CHECK(registry_ != nullptr);
   RWDOM_CHECK(registry_->default_context() != nullptr)
       << "QueryServer needs a default graph";
   RWDOM_CHECK(executor_ != nullptr);
-  RWDOM_CHECK(options_.threads >= 1);
-  RWDOM_CHECK(options_.max_connections >= 1);
   for (const std::string& name : registry_->GraphNames()) {
     graph_requests_.emplace(std::piecewise_construct,
                             std::forward_as_tuple(name),
                             std::forward_as_tuple(0));
   }
-  {
-    JsonWriter json;
-    json.BeginObject();
-    json.Key("rwdom").BeginObject();
-    json.Key("protocol_version").Int(kProtocolVersion);
-    json.Key("capabilities").BeginArray();
-    for (const std::string& capability : options_.capabilities) {
-      json.String(capability);
-    }
-    json.EndArray();
-    json.EndObject();
-    json.EndObject();
-    greeting_line_ = json.ToString();
-  }
-  // Created here, not in Start(), so NotifyShutdown — and a SIGINT
-  // handler routed through it — works from construction on; a poke that
-  // lands before Start() shuts the server down on its first accept.
-  auto wake = MakeWakePipe();
-  RWDOM_CHECK(wake.ok()) << wake.status();
-  wake_ = std::move(*wake);
 }
-
-QueryServer::~QueryServer() { Shutdown(); }
 
 Status QueryServer::Start() {
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    RWDOM_CHECK(!started_) << "QueryServer::Start called twice";
-    started_ = true;
-  }
-  RWDOM_ASSIGN_OR_RETURN(
-      listener_,
-      TcpListen(options_.host, options_.port,
-                /*backlog=*/options_.max_connections));
-  RWDOM_ASSIGN_OR_RETURN(port_, LocalPort(listener_.get()));
-  // The serving core starts before the accept thread so an adopted
-  // connection always has a live shard/pool behind it.
-  if (options_.io == IoMode::kEpoll) {
-    EventLoopConfig config;
-    config.write_timeout_ms = options_.write_timeout_ms;
-    config.max_request_bytes = options_.max_request_bytes;
-    config.write_buffer_bytes = options_.write_buffer_bytes;
-    EventLoopHooks hooks;
-    hooks.handle_line = [this](const std::string& line) {
-      // Same clock-read cadence as the threaded path: the deadline
-      // starts when the line is dispatched, which under the event loop
-      // is also when its bytes arrived.
-      const Deadline deadline =
-          options_.request_timeout_ms > 0
-              ? Deadline::AfterMillis(clock(), options_.request_timeout_ms)
-              : Deadline::Infinite();
-      return HandleLine(line, deadline);
-    };
-    hooks.oversized_response = [this] {
-      oversized_requests_.fetch_add(1);
-      queries_error_.fetch_add(1);
-      return ErrorResponseLine(
-          "InvalidArgument",
-          StrFormat("request line exceeds --max_request_bytes=%zu",
-                    options_.max_request_bytes));
-    };
-    hooks.on_write_timeout = [this] { write_timeouts_.fetch_add(1); };
-    hooks.on_backpressure_pause = [this] {
-      backpressure_pauses_.fetch_add(1);
-    };
-    hooks.on_connection_closed = [this] {
-      active_connections_.fetch_sub(1);
-    };
-    shards_.reserve(static_cast<size_t>(options_.threads));
-    for (int i = 0; i < options_.threads; ++i) {
-      shards_.push_back(std::make_unique<EventLoopShard>(config, hooks));
-      RWDOM_RETURN_IF_ERROR(shards_.back()->Start());
-    }
-  } else {
-    workers_.reserve(static_cast<size_t>(options_.threads));
-    for (int i = 0; i < options_.threads; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
+  return front_.Start(GreetingLine(options_.capabilities));
 }
 
-void QueryServer::NotifyShutdown() {
-  // Only an async-signal-safe write: the accept thread turns the poke
-  // into the actual state change.
-  if (wake_.write_end.valid()) PokeWakePipe(wake_.write_end.get());
-}
-
-void QueryServer::BeginShutdown() {
-  if (stopping_.exchange(true)) return;
-  // Wake the accept loop (idempotent) and every idle worker.
-  if (wake_.write_end.valid()) PokeWakePipe(wake_.write_end.get());
-  // Non-blocking, so safe even when a shard's own dispatch (the
-  // `shutdown` admin request) is what got us here.
-  for (auto& shard : shards_) shard->Stop();
-  {
-    // Empty critical section: a worker that read stopping_=false in its
-    // wait predicate still holds queue_mutex_ until it blocks, so
-    // acquiring it here orders this notify after that worker is
-    // actually waiting — without it the notify can fire in the window
-    // between predicate evaluation and blocking and be lost for good.
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-  }
-  queue_cv_.notify_all();
-}
-
-void QueryServer::AcceptLoop() {
-  for (;;) {
-    if (stopping_.load()) break;
-    auto accepted = AcceptWithWake(listener_.get(), wake_.read_end.get());
-    if (!accepted.ok()) {
-      RWDOM_LOG(WARNING) << "rwdom serve: accept failed, shutting down: "
-                         << accepted.status();
-      break;
-    }
-    if (!accepted->has_value()) break;  // Woken: shutdown requested.
-    UniqueFd connection = std::move(**accepted);
-    connections_accepted_.fetch_add(1);
-    // Every accepted connection gets the greeting first — including one
-    // about to be refused — so a client can unconditionally consume
-    // exactly one greeting line before its first response (a refusal
-    // then arrives as the first "response").
-    if (!SendAll(connection.get(), greeting_line_ + "\n").ok()) {
-      // A connection we cannot even greet is dropped: the close reaches
-      // the client more reliably than any further byte would, and the
-      // greeting contract ("exactly one line before the first response")
-      // stays intact for everyone else.
-      continue;
-    }
-    if (active_connections_.load() >= options_.max_connections) {
-      connections_rejected_.fetch_add(1);
-      // Best-effort refusal line; the close is the real signal.
-      (void)SendAll(connection.get(),
-                    ErrorResponseLine("Unavailable",
-                              StrFormat("server at --max_connections=%d",
-                                        options_.max_connections),
-                              options_.retry_after_ms) +
-                        "\n");
-      continue;
-    }
-    if (options_.io == IoMode::kEpoll) {
-      // Shed-on-overflow, epoll spelling: with `threads` shards there
-      // is no pending queue, but the equivalent backlog bound is open
-      // connections beyond what `threads` workers plus a queue of
-      // max_queue_depth would have admitted — the same threshold the
-      // threaded path enforces at saturation.
-      if (options_.max_queue_depth > 0 &&
-          active_connections_.load() >=
-              options_.threads + options_.max_queue_depth) {
-        requests_shed_.fetch_add(1);
-        (void)SendAll(connection.get(),
-                      ErrorResponseLine("Unavailable",
-                                StrFormat("server overloaded (queue depth %d)",
-                                          options_.max_queue_depth),
-                                options_.retry_after_ms) +
-                          "\n");
-        continue;
-      }
-      active_connections_.fetch_add(1);
-      shards_[next_shard_++ % shards_.size()]->Adopt(std::move(connection));
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      // Shed-on-overflow: a queue deeper than the cap means every worker
-      // is busy and the backlog is growing — refusing *now* with a
-      // backoff hint beats accepting work that will time out anyway.
-      if (options_.max_queue_depth > 0 &&
-          static_cast<int>(pending_.size()) >= options_.max_queue_depth) {
-        requests_shed_.fetch_add(1);
-        // `connection` stays valid; the shed reply happens off-lock.
-      } else {
-        active_connections_.fetch_add(1);
-        pending_.push_back(std::move(connection));
-        connection = UniqueFd();
-      }
-    }
-    if (connection.valid()) {
-      (void)SendAll(connection.get(),
-                    ErrorResponseLine("Unavailable",
-                              StrFormat("server overloaded (queue depth %d)",
-                                        options_.max_queue_depth),
-                              options_.retry_after_ms) +
-                        "\n");
-      continue;
-    }
-    queue_cv_.notify_one();
-  }
-  BeginShutdown();
-  // Close the listening socket now (only this thread uses it), so the
-  // port refuses new connections as soon as shutdown begins rather than
-  // when the server object is destroyed.
-  listener_.reset();
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    stopped_ = true;
-  }
-  stopped_cv_.notify_all();
-}
-
-void QueryServer::WorkerLoop() {
-  for (;;) {
-    UniqueFd connection;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_.load() || !pending_.empty();
-      });
-      if (pending_.empty()) return;  // Stopping and drained.
-      connection = std::move(pending_.front());
-      pending_.pop_front();
-      if (stopping_.load()) {
-        // Queued but never served: close without a response.
-        active_connections_.fetch_sub(1);
-        continue;
-      }
-    }
-    ServeConnection(std::move(connection));
-    active_connections_.fetch_sub(1);
-  }
-}
-
-void QueryServer::ServeConnection(UniqueFd connection) {
-  LineReader reader(connection.get(), options_.max_request_bytes);
-  std::string line;
-  const auto cancelled = [this] { return stopping_.load(); };
-  for (;;) {
-    auto outcome = reader.ReadLine(&line, cancelled, /*poll_interval_ms=*/50);
-    if (!outcome.ok()) break;
-    std::string response;
-    if (*outcome == LineReader::Outcome::kOverflow) {
-      // The reader already resynced at the next newline; answer the
-      // oversized request with a typed error and keep serving.
-      oversized_requests_.fetch_add(1);
-      response = ErrorResponseLine(
-          "InvalidArgument",
-          StrFormat("request line exceeds --max_request_bytes=%zu",
-                    options_.max_request_bytes));
-      queries_error_.fetch_add(1);
-    } else if (*outcome != LineReader::Outcome::kLine) {
-      break;
-    } else {
-      std::string_view trimmed = StripWhitespace(line);
-      if (trimmed.empty() || trimmed.front() == '#') continue;
-      // The request's clock starts when its line arrives, not when a
-      // worker gets to it — queueing time counts against the budget.
-      const Deadline deadline =
-          options_.request_timeout_ms > 0
-              ? Deadline::AfterMillis(clock(), options_.request_timeout_ms)
-              : Deadline::Infinite();
-      response = HandleLine(std::string(trimmed), deadline);
-    }
-    // The in-flight request's response is sent even mid-shutdown; only
-    // *further* requests on this connection are cut off.
-    const Status sent = SendAllWithin(connection.get(), response + "\n",
-                                      options_.write_timeout_ms);
-    if (!sent.ok()) {
-      if (sent.code() == StatusCode::kDeadlineExceeded) {
-        // A peer that stopped draining its socket does not get to pin
-        // this worker; drop the connection and move on.
-        write_timeouts_.fetch_add(1);
-        RWDOM_LOG(WARNING) << "rwdom serve: dropped stalled client: "
-                           << sent.message();
-      }
-      break;
-    }
-    if (stopping_.load()) break;
-  }
-}
-
-std::string QueryServer::HandleLine(const std::string& line,
-                                    const Deadline& deadline) {
+std::string QueryServer::HandleLine(const std::string& line) {
+  // The request's clock starts when its line is dispatched, which under
+  // the event loop is also when its bytes arrived.
+  const Deadline deadline =
+      options_.request_timeout_ms > 0
+          ? Deadline::AfterMillis(clock(), options_.request_timeout_ms)
+          : Deadline::Infinite();
   // One strict parse of the protocol-v3 envelope up front: malformed
   // lines and unknown members are rejected here with the exact wording
   // batch scripts print, before any dispatch work.
@@ -316,7 +85,7 @@ std::string QueryServer::HandleLine(const std::string& line,
           "shutdown is fleet-wide and takes no \"flags\" or \"graph\"");
     }
     queries_ok_.fetch_add(1);
-    BeginShutdown();
+    front_.BeginShutdown();
     JsonWriter json;
     json.BeginObject();
     json.Key("ok").Bool(true);
@@ -344,8 +113,8 @@ std::string QueryServer::HandleLine(const std::string& line,
     queries_ok_.fetch_add(1);
     return StatsResponseLine(filter);
   }
-  // Dispatch boundary 1: a request that waited out its whole budget in
-  // the queue is answered without doing the work it is too late for.
+  // Dispatch boundary 1: a request already past its budget is answered
+  // without doing the work it is too late for.
   if (deadline.Expired(clock())) {
     deadline_exceeded_.fetch_add(1);
     queries_error_.fetch_add(1);
@@ -384,17 +153,18 @@ std::string QueryServer::HandleLine(const std::string& line,
 }
 
 ServerStats QueryServer::stats() const {
+  const FrontStats front = front_.stats();
   ServerStats stats;
-  stats.connections_accepted = connections_accepted_.load();
-  stats.connections_rejected = connections_rejected_.load();
-  stats.active_connections = active_connections_.load();
+  stats.connections_accepted = front.connections_accepted;
+  stats.connections_rejected = front.connections_rejected;
+  stats.active_connections = front.active_connections;
   stats.queries_ok = queries_ok_.load();
   stats.queries_error = queries_error_.load();
-  stats.requests_shed = requests_shed_.load();
+  stats.requests_shed = front.requests_shed;
   stats.deadline_exceeded = deadline_exceeded_.load();
   stats.oversized_requests = oversized_requests_.load();
-  stats.write_timeouts = write_timeouts_.load();
-  stats.backpressure_pauses = backpressure_pauses_.load();
+  stats.write_timeouts = front.write_timeouts;
+  stats.backpressure_pauses = front.backpressure_pauses;
   stats.graph_loads = static_cast<int64_t>(registry_->size());
   stats.graphs.reserve(registry_->size());
   for (const ResolvedGraph& graph : registry_->Graphs()) {
@@ -465,7 +235,7 @@ std::string QueryServer::StatsResponseLine(
                         static_cast<unsigned long long>(
                             default_context.substrate_fingerprint())));
   json.Key("threads").Int(options_.threads);
-  json.Key("io").String(IoModeName(options_.io));
+  json.Key("io").String("epoll");
   json.Key("max_connections").Int(options_.max_connections);
   json.Key("graph_loads").Int(stats.graph_loads);
   json.Key("index_builds").Int(stats.index_builds);
@@ -521,49 +291,6 @@ std::string QueryServer::StatsResponseLine(
   json.EndObject();
   json.EndObject();
   return json.ToString();
-}
-
-void QueryServer::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    if (!started_) return;
-  }
-  BeginShutdown();
-  Join();
-}
-
-void QueryServer::Wait() {
-  {
-    std::unique_lock<std::mutex> lock(lifecycle_mutex_);
-    if (!started_) return;
-    stopped_cv_.wait(lock, [this] { return stopped_; });
-  }
-  Join();
-}
-
-void QueryServer::Join() {
-  // join_mutex_ is never taken by server threads, so holding it across
-  // the joins cannot deadlock (lifecycle_mutex_ is taken by the accept
-  // thread right before it exits); concurrent Join callers serialize
-  // and all return only after every thread finished.
-  std::lock_guard<std::mutex> lock(join_mutex_);
-  if (joined_) return;
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    // Same lost-wakeup bracket as BeginShutdown (see there).
-    std::lock_guard<std::mutex> queue_lock(queue_mutex_);
-  }
-  queue_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  for (auto& shard : shards_) {
-    shard->Stop();
-    shard->Join();
-  }
-  // Connections still queued were closed by their UniqueFd destructors
-  // as workers/shards drained; the listener closes with the server.
-  joined_ = true;
 }
 
 }  // namespace rwdom

@@ -20,37 +20,25 @@
 //                                   per-graph section to one tenant
 //   {"command": "shutdown"}      -> acknowledge, then graceful shutdown
 //
-// Concurrency: one accept thread greets, refuses and sheds; admitted
-// connections are served by one of two interchangeable cores selected
-// with ServerOptions::io (`serve --io=threaded|epoll`):
-//
-//   * threaded — a fixed pool of worker threads, each serving one
-//     connection at a time to completion over blocking sockets.
-//   * epoll (default on Linux) — `threads` non-blocking event-loop
-//     shards (server/event_loop.h) with request pipelining and
-//     per-connection backpressure.
-//
-// Both cores share the one GraphRegistry, whose per-tenant
-// shared_mutex + single-flight caches make concurrent index builds
-// safe and deduplicated — concurrent responses are bit-identical to
-// cold CLI runs, and byte-identical between the two cores.
+// Concurrency: connections are accepted, greeted, refused, shed and
+// served by a ConnectionFront (server/event_loop.h): `threads`
+// non-blocking event-loop shards with request pipelining and
+// per-connection backpressure. Every shard dispatches into the one
+// GraphRegistry, whose per-tenant shared_mutex + single-flight caches
+// make concurrent index builds safe and deduplicated — concurrent
+// responses are bit-identical to cold CLI runs.
 //
 // Shutdown: NotifyShutdown() is async-signal-safe (a SIGINT handler may
-// call it); in-flight requests finish and get their response, idle and
-// queued connections are closed, then every thread is joined.
+// call it); in-flight requests finish and get their response, idle
+// connections are closed, then every thread is joined.
 #ifndef RWDOM_SERVER_SERVER_H_
 #define RWDOM_SERVER_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "server/event_loop.h"
@@ -69,33 +57,29 @@ struct ServerOptions {
   /// deployments behind a proxy bind "0.0.0.0" explicitly.
   std::string host = "127.0.0.1";
   int port = 0;  ///< 0 picks an ephemeral port (see QueryServer::port()).
-  int threads = 4;           ///< Worker pool size (concurrent connections).
+  int threads = 4;           ///< Event-loop shards (concurrent dispatches).
   int max_connections = 64;  ///< Open-connection cap; excess are refused
                              ///< with an {"error": ...} line.
   /// Per-request wall-clock budget, checked at dispatch boundaries via
   /// `clock`: a request found past its deadline answers a
   /// DeadlineExceeded error line (connection stays open). 0 = no limit.
   int request_timeout_ms = 0;
-  /// Budget for writing one response to a slow/stalled client; past it
-  /// the connection is dropped (write_timeouts counter). 0 = no limit.
+  /// Budget for a peer that stops draining its responses; past it the
+  /// connection is dropped (write_timeouts counter). 0 = no limit.
   int write_timeout_ms = 30'000;
   /// Per-request-line byte cap; overlong lines answer InvalidArgument
   /// and the stream resyncs at the next newline.
   size_t max_request_bytes = LineReader::kDefaultMaxLineBytes;
-  /// Accepted-but-unserved connection cap. When more than this many
-  /// connections wait for a worker, new ones are shed: an Unavailable
-  /// error line carrying retry_after_ms, then close. 0 = unbounded.
+  /// Once more than `threads` + this many connections are open, new
+  /// ones are shed: an Unavailable error line carrying retry_after_ms,
+  /// then close. 0 = unbounded.
   int max_queue_depth = 0;
   /// The backoff hint sent in shed/refusal error bodies.
   int retry_after_ms = 250;
-  /// Which serving core runs behind the accept thread (`--io`). The
-  /// default is epoll on Linux, threaded elsewhere; `RWDOM_IO` in the
-  /// environment overrides the default (see DefaultIoMode).
-  IoMode io = DefaultIoMode();
-  /// Epoll mode only: per-connection cap on buffered, unsent response
-  /// bytes. Crossing it pauses reads from that connection
-  /// (backpressure) until the peer drains below half the cap.
-  size_t write_buffer_bytes = 256 * 1024;
+  /// Per-connection cap on buffered, unsent response bytes. Crossing it
+  /// pauses reads from that connection (backpressure) until the peer
+  /// drains below half the cap.
+  size_t write_buffer_bytes = kDefaultWriteBufferBytes;
   /// Deadline clock; nullptr means the real monotonic clock. Tests
   /// inject a FakeClock to expire deadlines deterministically.
   const Clock* clock = nullptr;
@@ -125,7 +109,7 @@ struct GraphServeStats {
 struct ServerStats {
   int64_t connections_accepted = 0;
   int64_t connections_rejected = 0;
-  int64_t active_connections = 0;  ///< Open right now (queued + serving).
+  int64_t active_connections = 0;  ///< Open right now.
   int64_t queries_ok = 0;
   int64_t queries_error = 0;
   // Overload / robustness counters.
@@ -133,9 +117,8 @@ struct ServerStats {
   int64_t deadline_exceeded = 0;   ///< Requests past --request_timeout_ms.
   int64_t oversized_requests = 0;  ///< Lines over --max_request_bytes.
   int64_t write_timeouts = 0;      ///< Responses dropped on stalled peers.
-  /// Connections whose reads were paused at the write-buffer cap (epoll
-  /// mode). Normal flow control, not degradation: it does not move the
-  /// health latch.
+  /// Connections whose reads were paused at the write-buffer cap. Normal
+  /// flow control, not degradation: it does not move the health latch.
   int64_t backpressure_pauses = 0;
   int64_t index_evictions = 0;     ///< Cache entries evicted under budget.
   int64_t admission_rejections = 0;  ///< Builds refused by the budget.
@@ -171,7 +154,7 @@ class QueryServer {
   /// (no trailing newline). Injected from the CLI layer
   /// (cli/query_line.h) so the server speaks the identical flag-parsing
   /// path as batch scripts and one-shot commands. Must be thread-safe:
-  /// workers call it concurrently against shared contexts.
+  /// shards call it concurrently against shared contexts.
   using LineExecutor = std::function<Status(
       const ParsedRequest& request, QueryContext& context,
       std::string* response)>;
@@ -180,39 +163,34 @@ class QueryServer {
   /// construction and outlive the server; a default tenant is required.
   QueryServer(GraphRegistry* registry, LineExecutor executor,
               ServerOptions options);
-  ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Binds, listens and spawns the accept + worker threads. Call once.
+  /// Binds, listens and spawns the accept + shard threads. Call once.
   Status Start();
 
   /// The actually bound port (== options.port unless that was 0).
-  int port() const { return port_; }
+  int port() const { return front_.port(); }
 
   /// Begins a graceful shutdown. Async-signal-safe: only writes one
   /// byte to an internal pipe, so SIGINT handlers may call it.
-  void NotifyShutdown();
+  void NotifyShutdown() { front_.NotifyShutdown(); }
 
   /// NotifyShutdown + wait for every thread to finish. Idempotent.
-  void Shutdown();
+  void Shutdown() { front_.Shutdown(); }
 
   /// Blocks until the server shut down (admin request, NotifyShutdown,
   /// or a fatal accept error) and every thread is joined.
-  void Wait();
+  void Wait() { front_.Wait(); }
 
   ServerStats stats() const;
 
  private:
-  void BeginShutdown();
-  void AcceptLoop();
-  void WorkerLoop();
-  void ServeConnection(UniqueFd connection);
   /// One request line -> one response line (admin or via executor_).
-  /// `deadline` is the request's budget (started when its line arrived);
-  /// a request past it answers DeadlineExceeded instead of executing.
-  std::string HandleLine(const std::string& line, const Deadline& deadline);
+  /// The request's --request_timeout_ms budget starts here; a request
+  /// past it answers DeadlineExceeded instead of executing.
+  std::string HandleLine(const std::string& line);
   /// `graph_filter` non-null narrows the per-graph section to one
   /// tenant; the section is emitted only then or when serving more
   /// than one graph (v2 single-graph responses stay byte-identical).
@@ -220,56 +198,26 @@ class QueryServer {
   const Clock& clock() const {
     return options_.clock != nullptr ? *options_.clock : *SystemClock::Get();
   }
-  void Join();
 
   GraphRegistry* const registry_;
   const LineExecutor executor_;
   const ServerOptions options_;
-  /// The protocol-v2 hello, built once at construction and sent on every
-  /// accepted connection before anything else.
-  std::string greeting_line_;
 
-  UniqueFd listener_;
-  WakePipe wake_;
-  int port_ = 0;
-
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;  ///< Threaded mode only.
-  /// Epoll mode only: the event-loop shards; the accept thread deals
-  /// admitted connections round-robin. unique_ptr because shards hold
-  /// a std::thread and self-referencing lambdas — they must not move.
-  std::vector<std::unique_ptr<EventLoopShard>> shards_;
-  size_t next_shard_ = 0;  ///< Accept thread only.
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<UniqueFd> pending_;
-
-  std::mutex lifecycle_mutex_;
-  std::condition_variable stopped_cv_;
-  bool started_ = false;
-  bool stopped_ = false;
-  std::mutex join_mutex_;  ///< Guards joined_; see Join().
-  bool joined_ = false;
-
-  std::atomic<int64_t> connections_accepted_{0};
-  std::atomic<int64_t> connections_rejected_{0};
-  std::atomic<int64_t> active_connections_{0};
   std::atomic<int64_t> queries_ok_{0};
   std::atomic<int64_t> queries_error_{0};
-  std::atomic<int64_t> requests_shed_{0};
   std::atomic<int64_t> deadline_exceeded_{0};
   std::atomic<int64_t> oversized_requests_{0};
-  std::atomic<int64_t> write_timeouts_{0};
-  std::atomic<int64_t> backpressure_pauses_{0};
   /// Per-graph dispatched-request counters, keyed by registered name.
   /// Fully populated at construction (the registry is immutable by
-  /// then), so workers bump entries lock-free.
+  /// then), so shards bump entries lock-free.
   std::map<std::string, std::atomic<int64_t>, std::less<>> graph_requests_;
   /// Sum of the degradation counters at the previous stats() call — the
   /// health latch's memory (mutable: reading health advances it).
   mutable std::atomic<int64_t> last_degradation_sum_{0};
+
+  /// Declared last: destroyed (and joined) first, before anything its
+  /// threads call into.
+  ConnectionFront front_;
 };
 
 }  // namespace rwdom

@@ -34,7 +34,7 @@ struct SelectRequest {
   /// Target tenant for registry dispatch (protocol v3 "graph" member);
   /// empty selects the default graph. Ignored — like on every request
   /// struct — when dispatching against an explicit QueryContext.
-  std::string graph;
+  std::string graph{};
 };
 
 /// Score a given seed set with the paper's sampled metrics (evaluate
@@ -44,7 +44,7 @@ struct EvaluateRequest {
   int32_t length = 6;          ///< L.
   int32_t num_samples = 500;   ///< Metric R (paper protocol: 500).
   uint64_t seed = 42;
-  std::string graph;           ///< Tenant name ("" = default graph).
+  std::string graph{};         ///< Tenant name ("" = default graph).
 };
 
 /// Truncated-hitting-time k nearest neighbors (knn command).
@@ -55,14 +55,14 @@ struct KnnRequest {
   Mode mode = Mode::kExact;
   /// L always; R and seed only for Mode::kSampled.
   SelectorParams params;
-  std::string graph;  ///< Tenant name ("" = default graph).
+  std::string graph{};  ///< Tenant name ("" = default graph).
 };
 
 /// Minimum seeds for alpha coverage (cover command).
 struct CoverRequest {
   double alpha = 0.9;
   SelectorParams params;  ///< L / R / seed of the underlying index.
-  std::string graph;      ///< Tenant name ("" = default graph).
+  std::string graph{};    ///< Tenant name ("" = default graph).
 };
 
 /// Structural statistics and memory footprint (stats command).
@@ -70,7 +70,7 @@ struct StatsRequest {
   bool with_index = false;
   /// Index params when with_index (same cache key as select/cover).
   SelectorParams params;
-  std::string graph;  ///< Tenant name ("" = default graph).
+  std::string graph{};  ///< Tenant name ("" = default graph).
 };
 
 /// Result of SelectRequest.

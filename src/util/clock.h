@@ -13,8 +13,9 @@
 // pointer — a Deadline is data, the clock is context — so deadlines can
 // cross threads without aliasing concerns.
 //
-// Transport-level timeouts (poll() on a socket) necessarily run on the
-// OS clock and are out of scope here; see SendAllWithin in util/socket.h.
+// Transport-level timeouts (the event loop's write-stall drop, which
+// waits in epoll_wait) necessarily run on the OS clock and are out of
+// scope here; see server/event_loop.h.
 #ifndef RWDOM_UTIL_CLOCK_H_
 #define RWDOM_UTIL_CLOCK_H_
 

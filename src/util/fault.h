@@ -49,7 +49,7 @@ inline constexpr std::string_view kFaultSites[] = {
     "persist.open",    // snapshot tmp-file creation
     "persist.write",   // snapshot body write/flush/close
     "persist.rename",  // atomic publish of a finished snapshot
-    "socket.send",     // any SendAll/SendAllWithin on a connection
+    "socket.send",     // any SendAll, and each event-loop response
     "index.build",     // index construction inside QueryContext::GetIndex
 };
 

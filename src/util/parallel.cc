@@ -23,7 +23,7 @@ class WorkerPool {
   explicit WorkerPool(int num_workers) {
     workers_.reserve(static_cast<size_t>(num_workers));
     for (int i = 0; i < num_workers; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+      workers_.emplace_back([this] { RunWorker(); });
     }
   }
 
@@ -71,7 +71,7 @@ class WorkerPool {
     }
   }
 
-  void WorkerLoop() {
+  void RunWorker() {
     uint64_t seen_generation = 0;
     for (;;) {
       {

@@ -14,7 +14,6 @@
 #include <sys/epoll.h>
 #endif
 
-#include <chrono>
 #include <cstdint>
 
 #include "util/fault.h"
@@ -152,38 +151,6 @@ Status SendAll(int fd, std::string_view data) {
   return Status::OK();
 }
 
-Status SendAllWithin(int fd, std::string_view data, int timeout_ms) {
-  if (timeout_ms <= 0) return SendAll(fd, data);
-  RWDOM_RETURN_IF_ERROR(FaultPoint("socket.send"));
-  // OS clock by necessity: poll() timeouts are kernel time. Budget is
-  // total across the whole payload, not per write.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!data.empty()) {
-    ssize_t sent =
-        ::send(fd, data.data(), data.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (sent > 0) {
-      data.remove_prefix(static_cast<size_t>(sent));
-      continue;
-    }
-    if (sent < 0 && errno != EINTR && errno != EAGAIN &&
-        errno != EWOULDBLOCK) {
-      return Errno("send");
-    }
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now());
-    if (remaining.count() <= 0) {
-      return Status::DeadlineExceeded(
-          StrFormat("send stalled past %d ms write timeout", timeout_ms));
-    }
-    pollfd pfd{fd, POLLOUT, 0};
-    int rc = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-    if (rc < 0 && errno != EINTR) return Errno("poll");
-  }
-  return Status::OK();
-}
-
 Status SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return Errno("fcntl(F_GETFL)");
@@ -287,7 +254,7 @@ Result<int> EpollSet::Wait(std::vector<ReadyEvent>* out, int timeout_ms) {
 #else  // !__linux__
 
 Result<EpollSet> EpollSet::Create() {
-  return Status::Unimplemented("epoll is Linux-only; use --io=threaded");
+  return Status::Unimplemented("epoll is Linux-only");
 }
 Status EpollSet::Add(int, bool, bool) {
   return Status::Unimplemented("epoll is Linux-only");
@@ -344,9 +311,7 @@ LineDecoder::Event LineDecoder::Next(std::string* line) {
   }
 }
 
-Result<LineReader::Outcome> LineReader::ReadLine(
-    std::string* line, const std::function<bool()>& cancelled,
-    int poll_interval_ms) {
+Result<LineReader::Outcome> LineReader::ReadLine(std::string* line) {
   for (;;) {
     switch (decoder_.Next(line)) {
       case LineDecoder::Event::kLine:
@@ -357,13 +322,6 @@ Result<LineReader::Outcome> LineReader::ReadLine(
         break;
     }
     if (decoder_.finished()) return Outcome::kEof;
-    if (cancelled) {
-      pollfd pfd{fd_, POLLIN, 0};
-      int rc = ::poll(&pfd, 1, poll_interval_ms);
-      if (rc < 0 && errno != EINTR) return Errno("poll");
-      if (cancelled()) return Outcome::kCancelled;
-      if (rc <= 0) continue;  // Timeout or EINTR: poll again.
-    }
     char chunk[4096];
     ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (got < 0) {

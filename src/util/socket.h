@@ -8,23 +8,16 @@
 //
 // Two framing front-ends share one state machine:
 //   * LineReader — blocking pull: ReadLine() recv()s until it can return
-//     the next line (the threaded server path and all clients).
+//     the next line (every client).
 //   * LineDecoder — non-blocking push: the caller feeds whatever bytes
-//     recv() produced and drains framing events (the epoll path).
+//     recv() produced and drains framing events (the event loop).
 // LineReader is implemented ON LineDecoder, so the two contracts cannot
 // drift: cap, overflow-then-resync, '\r' stripping and the trailing
-// unterminated line behave identically byte for byte.
-//
-// Cancellation model (blocking paths only): reads and accepts take an
-// optional `cancelled` predicate polled every poll_interval_ms, so
-// server workers can notice a shutdown flag without OS-level tricks
-// (signals into threads, socket shutdown() races). A clean EOF is a
-// normal outcome, not an error. The non-blocking paths do not poll —
-// readiness and shutdown both arrive through an EpollSet.
+// unterminated line behave identically byte for byte. A clean EOF is a
+// normal outcome, not an error.
 #ifndef RWDOM_UTIL_SOCKET_H_
 #define RWDOM_UTIL_SOCKET_H_
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -100,14 +93,6 @@ Result<std::optional<UniqueFd>> AcceptWithWake(int listen_fd, int wake_fd);
 /// (a dead peer surfaces as an IoError).
 Status SendAll(int fd, std::string_view data);
 
-/// SendAll with a wall-clock budget: if the peer stops draining and the
-/// kernel buffer stays full past timeout_ms, gives up with
-/// DeadlineExceeded (partial bytes may have been sent — the connection
-/// is unusable afterwards and should be closed). timeout_ms <= 0 means
-/// no timeout. This is the guard that keeps a stalled client from
-/// pinning a server worker forever.
-Status SendAllWithin(int fd, std::string_view data, int timeout_ms);
-
 // --- Non-blocking primitives (the epoll event loop's substrate). ---
 
 /// Puts the fd into O_NONBLOCK mode.
@@ -117,7 +102,7 @@ Status SetNonBlocking(int fd);
 /// the socket buffer is full — not an error), SIGPIPE suppressed. Does
 /// NOT hit the `socket.send` fault site: the event loop arms that once
 /// per protocol message, not once per partial write, so a fault schedule
-/// counts the same sends in threaded and epoll mode.
+/// counts whole messages, like SendAll.
 Result<size_t> SendSome(int fd, std::string_view data);
 
 /// One non-blocking recv into buf: returns bytes read; 0 with
@@ -137,7 +122,7 @@ struct ReadyEvent {
 /// the event loop and the kernel. Level-triggered by design: a shard
 /// that leaves bytes unread or unwritten is simply re-notified, so no
 /// starvation bookkeeping is needed. Non-Linux builds get Unimplemented
-/// from Create() (the server then requires --io=threaded).
+/// from Create(): serving is Linux-only, but the library still builds.
 class EpollSet {
  public:
   static Result<EpollSet> Create();
@@ -213,7 +198,7 @@ class LineDecoder {
 /// behaviour.
 class LineReader {
  public:
-  enum class Outcome { kLine, kEof, kCancelled, kOverflow };
+  enum class Outcome { kLine, kEof, kOverflow };
 
   static constexpr size_t kDefaultMaxLineBytes =
       LineDecoder::kDefaultMaxLineBytes;
@@ -221,12 +206,8 @@ class LineReader {
   explicit LineReader(int fd, size_t max_line_bytes = kDefaultMaxLineBytes)
       : fd_(fd), decoder_(max_line_bytes) {}
 
-  /// Blocks for the next line. `cancelled` (optional) is polled every
-  /// poll_interval_ms; when it returns true the read gives up with
-  /// kCancelled (bytes already buffered are kept for a later call).
-  Result<Outcome> ReadLine(std::string* line,
-                           const std::function<bool()>& cancelled = nullptr,
-                           int poll_interval_ms = 100);
+  /// Blocks for the next line.
+  Result<Outcome> ReadLine(std::string* line);
 
  private:
   int fd_;

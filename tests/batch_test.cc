@@ -5,6 +5,8 @@
 // weighted-directed substrates, at multiple thread counts.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <regex>
@@ -41,9 +43,11 @@ std::string NormalizeSeconds(std::string text) {
 class BatchTest : public testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps concurrent runs of this binary (per-case discovery
+    // plus the *_suite alias under `ctest -j`) off each other's files.
     const std::string stem =
-        testing::TempDir() + "/rwdom_batch_" +
-        testing::UnitTest::GetInstance()->current_test_info()->name();
+        testing::TempDir() + "/rwdom_batch_" + std::to_string(::getpid()) +
+        "_" + testing::UnitTest::GetInstance()->current_test_info()->name();
     graph_path_ = stem + "_graph.txt";
     wgraph_path_ = stem + "_wgraph.txt";
     script_path_ = stem + "_script.jsonl";

@@ -1,10 +1,11 @@
 // Fleet-front suite: HashRing placement properties, byte-identical
-// proxying through `rwdom route`, admin scatter-gather, and the
-// asymmetric failover contract — connect failures skip along the ring,
-// mid-request losses answer a complete Unavailable that a
-// RetryingClient rides out end to end. Backend choices are made
-// deterministic by reading the router's own ring (RouteOrder) instead
-// of guessing which ephemeral port a name hashes to.
+// proxying through `rwdom route` (one request at a time and pipelined),
+// admin scatter-gather, and the asymmetric failover contract — connect
+// failures skip along the ring, mid-request losses answer a complete
+// Unavailable that a RetryingClient rides out end to end. Backend
+// choices are made deterministic by reading the router's own ring
+// (RouteOrder) instead of guessing which ephemeral port a name hashes
+// to.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,6 +23,7 @@
 #include "service/query_context.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/strings.h"
 #include "wgraph/substrate.h"
 
 namespace rwdom {
@@ -78,19 +80,8 @@ class RouterTest : public testing::Test {
 
   static std::vector<std::string> TenantNames() {
     std::vector<std::string> names = {std::string(kDefaultGraphName)};
-    for (int i = 0; i < 8; ++i) names.push_back("t" + std::to_string(i));
+    for (int i = 0; i < 8; ++i) names.push_back(StrFormat("t%d", i));
     return names;
-  }
-
-  // A tenant whose first ring choice is `address` — the deterministic
-  // way to aim a request at a specific backend.
-  static std::string GraphRoutedTo(const QueryRouter& router,
-                                   const std::string& address) {
-    for (const std::string& name : TenantNames()) {
-      if (*router.ring().RouteOrder(name)[0] == address) return name;
-    }
-    RWDOM_CHECK(false) << "no tenant hashes first to " << address;
-    return "";
   }
 };
 
@@ -146,6 +137,8 @@ TEST_F(RouterTest, ProxiesByteIdenticalAndMergesAdminFanout) {
 
   // Routed lines are the backend's own bytes, wherever the ring put
   // them — compare every tenant against a direct backend answer.
+  std::vector<std::string> lines;
+  std::vector<std::string> direct_answers;
   for (const std::string& name : TenantNames()) {
     const std::string line =
         SelectLine(name == kDefaultGraphName ? "" : name);
@@ -155,6 +148,27 @@ TEST_F(RouterTest, ProxiesByteIdenticalAndMergesAdminFanout) {
     EXPECT_EQ(NormalizeSeconds(routed->front()),
               NormalizeSeconds(direct->front()))
         << name;
+    lines.push_back(line);
+    direct_answers.push_back(NormalizeSeconds(direct->front()));
+  }
+
+  // The same lines as one pipelined burst, all written before any
+  // response is read: the router answers them in request order.
+  {
+    auto connection = TcpConnect("127.0.0.1", router.port());
+    ASSERT_TRUE(connection.ok()) << connection.status();
+    LineReader reader(connection->get());
+    std::string response;
+    ASSERT_EQ(*reader.ReadLine(&response), LineReader::Outcome::kLine);
+    std::string burst;
+    for (const std::string& line : lines) burst += line + "\n";
+    ASSERT_TRUE(SendAll(connection->get(), burst).ok());
+    for (size_t i = 0; i < lines.size(); ++i) {
+      ASSERT_EQ(*reader.ReadLine(&response), LineReader::Outcome::kLine)
+          << "pipelined response " << i << " missing";
+      EXPECT_EQ(NormalizeSeconds(response), direct_answers[i])
+          << "pipelined response " << i << " out of order or diverged";
+    }
   }
 
   // Admin requests scatter to every backend and gather the raw lines.
@@ -183,14 +197,19 @@ TEST_F(RouterTest, KilledBackendFailsOverOnConnectAndAnswersMidRequest) {
   Backend b = StartBackend(TenantNames());
   QueryRouter router({a.address, b.address}, RouterOptions{});
   ASSERT_TRUE(router.Start().ok());
-  const std::string doomed_graph = GraphRoutedTo(router, a.address);
-  const std::string line =
-      SelectLine(doomed_graph == kDefaultGraphName ? "" : doomed_graph);
-  auto reference = RunQueryLines("127.0.0.1", b.server->port(), {line});
+  // Pick the graph first, then doom whichever backend the ring places it
+  // on first — whatever ephemeral ports the two backends got.
+  const std::string graph = "t0";
+  const bool a_first = *router.ring().RouteOrder(graph)[0] == a.address;
+  Backend& doomed = a_first ? a : b;
+  Backend& survivor = a_first ? b : a;
+  const std::string line = SelectLine(graph);
+  auto reference =
+      RunQueryLines("127.0.0.1", survivor.server->port(), {line});
   ASSERT_TRUE(reference.ok()) << reference.status();
 
   // An established connection warms the router's per-connection cache
-  // with a link to backend a...
+  // with a link to the doomed backend...
   auto warm = QueryClient::Connect("127.0.0.1", router.port());
   ASSERT_TRUE(warm.ok()) << warm.status();
   auto before = warm->Roundtrip(line);
@@ -198,10 +217,10 @@ TEST_F(RouterTest, KilledBackendFailsOverOnConnectAndAnswersMidRequest) {
   EXPECT_EQ(NormalizeSeconds(*before),
             NormalizeSeconds(reference->front()));
 
-  // ...then a dies. The in-flight connection gets NO silent replay —
+  // ...then it dies. The in-flight connection gets NO silent replay —
   // the request may have executed — just a complete Unavailable with a
   // backoff hint, per the RetryingClient replay rules.
-  a.server->Shutdown();
+  doomed.server->Shutdown();
   auto mid_request = warm->Roundtrip(line);
   ASSERT_TRUE(mid_request.ok()) << mid_request.status();
   EXPECT_NE(mid_request->find("\"code\":\"Unavailable\""),
@@ -210,8 +229,9 @@ TEST_F(RouterTest, KilledBackendFailsOverOnConnectAndAnswersMidRequest) {
   EXPECT_NE(mid_request->find("\"retry_after_ms\":"), std::string::npos)
       << *mid_request;
 
-  // A fresh connection never reached a, so skipping to b on the ring is
-  // safe — the answer is b's bytes and the failover is counted.
+  // A fresh connection never reached the dead backend, so skipping to
+  // the survivor on the ring is safe — the answer is the survivor's
+  // bytes and the failover is counted.
   auto failed_over = RunQueryLines("127.0.0.1", router.port(), {line});
   ASSERT_TRUE(failed_over.ok()) << failed_over.status();
   EXPECT_EQ(NormalizeSeconds(failed_over->front()),
@@ -220,8 +240,8 @@ TEST_F(RouterTest, KilledBackendFailsOverOnConnectAndAnswersMidRequest) {
 
   // End to end: a RetryingClient whose router-side cache held the dead
   // backend sees exactly one Unavailable, backs off, reconnects, and is
-  // served by b — the fleet rides out the loss with only a retry
-  // visible to the caller.
+  // served by the survivor — the fleet rides out the loss with only a
+  // retry visible to the caller.
   RetryPolicy policy;
   policy.max_retries = 3;
   policy.sleeper = [](int) {};  // No real waiting in tests.
@@ -240,15 +260,17 @@ TEST_F(RouterTest, KilledBackendFailsOverOnConnectAndAnswersMidRequest) {
   auto stats = RunQueryLines("127.0.0.1", router.port(),
                              {"{\"command\": \"server_stats\"}"});
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_NE(stats->front().find("\"" + b.address + "\":{\"server_stats\":"),
+  EXPECT_NE(stats->front().find("\"" + survivor.address +
+                                "\":{\"server_stats\":"),
             std::string::npos)
       << stats->front();
-  EXPECT_NE(stats->front().find("\"" + a.address + "\":{\"error\":"),
-            std::string::npos)
+  EXPECT_NE(
+      stats->front().find("\"" + doomed.address + "\":{\"error\":"),
+      std::string::npos)
       << stats->front();
 
   router.Shutdown();
-  b.server->Shutdown();
+  survivor.server->Shutdown();
 }
 
 TEST_F(RouterTest, SingleBackendLossAnswersNoReachableBackend) {

@@ -1,16 +1,18 @@
-// Pipelining + backpressure pins for the serving cores. A client that
+// Pipelining + backpressure pins for the serving core. A client that
 // writes a whole burst of JSONL requests before reading anything must
 // get every response back, in request order, byte-identical to
-// sequential cold runs — under both --io modes. And under the epoll
-// core, a peer that stops draining its responses gets paused
-// (bounded write buffer, reads off) without stalling other
+// sequential cold runs. A peer that stops draining its responses gets
+// paused (bounded write buffer, reads off) without stalling other
 // connections on the same shard, then served to completion once it
-// drains.
+// drains — unless it stays stalled past --write_timeout_ms, in which
+// case it is dropped and counted while the shard keeps serving.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <errno.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -62,8 +64,11 @@ std::vector<std::string> BurstLines() {
 class ServerPipeliningTest : public testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps concurrent runs of this binary (per-case discovery
+    // plus the *_suite alias under `ctest -j`) off each other's files.
     graph_path_ =
         testing::TempDir() + "/rwdom_pipelining_" +
+        std::to_string(::getpid()) + "_" +
         testing::UnitTest::GetInstance()->current_test_info()->name() +
         "_graph.txt";
     std::ofstream file(graph_path_, std::ios::trunc);
@@ -164,23 +169,18 @@ TEST_F(ServerPipeliningTest, BurstResponsesCompleteInOrderByteIdentical) {
   std::vector<std::string> expected;
   for (const std::string& line : lines) expected.push_back(ColdReference(line));
 
-  for (IoMode io : {IoMode::kEpoll, IoMode::kThreaded}) {
-    SCOPED_TRACE(IoModeName(io));
-    ServerOptions options;
-    options.io = io;
-    options.threads = 2;
-    TestServer ts = StartServer(options);
-    RunBurstAgainst(ts.server->port(), lines, expected);
-    // A second burst on a fresh connection: the warm index must not
-    // change a byte either.
-    RunBurstAgainst(ts.server->port(), lines, expected);
-    ts.server->Shutdown();
-  }
+  ServerOptions options;
+  options.threads = 2;
+  TestServer ts = StartServer(options);
+  RunBurstAgainst(ts.server->port(), lines, expected);
+  // A second burst on a fresh connection: the warm index must not
+  // change a byte either.
+  RunBurstAgainst(ts.server->port(), lines, expected);
+  ts.server->Shutdown();
 }
 
 TEST_F(ServerPipeliningTest, SlowReaderIsPausedNotFatalAndOthersKeepMoving) {
   ServerOptions options;
-  options.io = IoMode::kEpoll;
   // One shard: the slow and the healthy connection share an event loop,
   // so any stall would be visible as the healthy client hanging.
   options.threads = 1;
@@ -243,6 +243,79 @@ TEST_F(ServerPipeliningTest, SlowReaderIsPausedNotFatalAndOthersKeepMoving) {
       SendAll(slow->get(), "{\"command\": \"server_stats\"}\n").ok());
   ASSERT_EQ(*slow_reader.ReadLine(&line), LineReader::Outcome::kLine);
   EXPECT_EQ(ts.server->stats().write_timeouts, 0);
+  ts.server->Shutdown();
+}
+
+TEST_F(ServerPipeliningTest, StalledReaderIsDroppedAfterWriteTimeout) {
+  ServerOptions options;
+  // One shard again: the drop must not disturb a neighbour on the same
+  // event loop.
+  options.threads = 1;
+  options.write_buffer_bytes = 2048;
+  options.write_timeout_ms = 200;
+  TestServer ts = StartServer(options);
+
+  auto stalled = ConnectWithTinyReceiveBuffer(ts.server->port());
+  ASSERT_TRUE(stalled.ok()) << stalled.status();
+  LineReader stalled_reader(stalled->get());
+  std::string line;
+  ASSERT_EQ(*stalled_reader.ReadLine(&line), LineReader::Outcome::kLine);
+  auto healthy = TcpConnect("127.0.0.1", ts.server->port());
+  ASSERT_TRUE(healthy.ok()) << healthy.status();
+  LineReader healthy_reader(healthy->get());
+  ASSERT_EQ(*healthy_reader.ReadLine(&line), LineReader::Outcome::kLine);
+
+  // Flood without ever reading. On loopback the kernel absorbs a
+  // megabyte or more of responses, so ask for several megabytes: the
+  // shard's write buffer then stops making progress. The flood's tail
+  // backs up once the shard pauses reads, so it is sent from its own
+  // thread (unblocked when the server drops the connection).
+  std::string flood;
+  for (int i = 0; i < 8000; ++i) {
+    flood += "{\"command\": \"server_stats\"}\n";
+  }
+  std::thread flooder([&] { (void)SendAll(stalled->get(), flood); });
+
+  // The healthy neighbour keeps round-tripping until the stalled peer
+  // is dropped, and afterwards.
+  const auto roundtrip = [&] {
+    ASSERT_TRUE(
+        SendAll(healthy->get(), "{\"command\": \"server_stats\"}\n").ok());
+    ASSERT_EQ(*healthy_reader.ReadLine(&line), LineReader::Outcome::kLine)
+        << "healthy connection stalled behind the stalled reader";
+    EXPECT_EQ(line.rfind("{\"server_stats\":", 0), 0u) << line;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ts.server->stats().write_timeouts == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    roundtrip();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const ServerStats stats = ts.server->stats();
+  EXPECT_EQ(stats.write_timeouts, 1)
+      << "stalled peer was never dropped past --write_timeout_ms";
+  EXPECT_EQ(stats.active_connections, 1);  // Only the healthy one left.
+  for (int i = 0; i < 5; ++i) roundtrip();
+
+  // The server closed the stalled socket: after whatever responses made
+  // it into the pipe, the peer reads EOF (or a reset), never a hang.
+  bool closed = false;
+  char buf[4096];
+  const auto close_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!closed && std::chrono::steady_clock::now() < close_deadline) {
+    const ssize_t got =
+        ::recv(stalled->get(), buf, sizeof(buf), MSG_DONTWAIT);
+    if (got == 0 || (got < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
+      closed = true;
+    } else if (got < 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_TRUE(closed) << "stalled connection still open";
+  ::shutdown(stalled->get(), SHUT_RDWR);  // Frees the flooder either way.
+  flooder.join();
   ts.server->Shutdown();
 }
 

@@ -6,6 +6,8 @@
 // connection cap, CLI wiring).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -62,9 +64,11 @@ const char* const kAcceptanceLines[] = {
 class ServerTest : public testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps concurrent runs of this binary (per-case discovery
+    // plus the *_suite alias under `ctest -j`) off each other's files.
     const std::string stem =
-        testing::TempDir() + "/rwdom_server_" +
-        testing::UnitTest::GetInstance()->current_test_info()->name();
+        testing::TempDir() + "/rwdom_server_" + std::to_string(::getpid()) +
+        "_" + testing::UnitTest::GetInstance()->current_test_info()->name();
     graph_path_ = stem + "_graph.txt";
     script_path_ = stem + "_script.jsonl";
     port_path_ = stem + "_port.txt";

@@ -1,15 +1,14 @@
 // Transport-level hardening pins: LineReader's per-line byte cap (the
 // bounded-memory guarantee against a hostile or buggy peer) and
-// SendAllWithin's write timeout (the guard that keeps a stalled client
-// from pinning a server worker). Both run over AF_UNIX socketpairs —
-// same recv/send semantics as TCP, no ports to leak.
+// SendAll's socket.send fault site. Both run over AF_UNIX socketpairs —
+// same recv/send semantics as TCP, no ports to leak. (The write-stall
+// drop lives in the event loop; server_pipelining_test pins it.)
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/fault.h"
@@ -112,46 +111,7 @@ TEST(LineReaderTest, EofWhileDiscardingAnUnterminatedMonsterIsEof) {
   EXPECT_EQ(*reader.ReadLine(&line), LineReader::Outcome::kEof);
 }
 
-TEST(SendAllWithinTest, TimesOutWhenThePeerStopsDraining) {
-  SocketPair pair = MakeSocketPair();
-  // Nobody reads pair.right: the kernel buffer fills and the send must
-  // give up within the budget instead of blocking forever.
-  const std::string payload(8 << 20, 'p');
-  Status status = SendAllWithin(pair.left.get(), payload, /*timeout_ms=*/200);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
-  EXPECT_NE(status.message().find("write timeout"), std::string::npos)
-      << status;
-}
-
-TEST(SendAllWithinTest, DeliversEverythingToADrainingPeer) {
-  SocketPair pair = MakeSocketPair();
-  const std::string payload(2 << 20, 'q');
-  size_t received = 0;
-  std::thread drainer([&] {
-    char chunk[65536];
-    for (;;) {
-      ssize_t got = ::recv(pair.right.get(), chunk, sizeof(chunk), 0);
-      if (got <= 0) break;
-      received += static_cast<size_t>(got);
-    }
-  });
-  Status status =
-      SendAllWithin(pair.left.get(), payload, /*timeout_ms=*/10'000);
-  pair.left.reset();  // EOF lets the drainer finish.
-  drainer.join();
-  ASSERT_TRUE(status.ok()) << status;
-  EXPECT_EQ(received, payload.size());
-}
-
-TEST(SendAllWithinTest, ZeroTimeoutMeansNoTimeout) {
-  SocketPair pair = MakeSocketPair();
-  EXPECT_TRUE(SendAllWithin(pair.left.get(), "hello\n", 0).ok());
-  char chunk[16];
-  EXPECT_EQ(::recv(pair.right.get(), chunk, sizeof(chunk), 0), 6);
-}
-
-TEST(SendAllWithinTest, InjectedSocketFaultSurfacesBeforeAnyByte) {
+TEST(SendAllTest, InjectedSocketFaultSurfacesBeforeAnyByte) {
   ClearFaults();
   ASSERT_TRUE(ArmFaultsFromSpec("socket.send:1:EPIPE").ok());
   SocketPair pair = MakeSocketPair();

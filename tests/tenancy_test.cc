@@ -1,6 +1,6 @@
 // Multi-graph tenancy acceptance suite: an N-tenant server must be
 // indistinguishable, byte for byte, from N single-graph servers — cold
-// and warm, under both serving cores — while sharing one cache budget
+// and warm — while sharing one cache budget
 // (eviction and admission refusals cross tenant lines and name the
 // offender) and one cache_dir tree (the default tenant keeps the flat
 // v2 layout, named tenants get their own subdirectory).
@@ -121,66 +121,62 @@ class TenancyTest : public testing::Test {
 
 TEST_F(TenancyTest, MultiTenantServerMatchesIsolatedServersByteIdentical) {
   const std::vector<std::string> tenant_names = {"default", "ring", "path"};
-  for (IoMode io : {IoMode::kThreaded, IoMode::kEpoll}) {
-    SCOPED_TRACE(IoModeName(io));
-    ServerOptions options;
-    options.io = io;
-    options.threads = 2;
+  ServerOptions options;
+  options.threads = 2;
 
-    // Reference: three isolated single-graph servers, each queried with
-    // the keyless v2 lines. Two passes — pass 0 builds cold, pass 1 is
-    // the warm cache — and the bytes must not differ between passes.
-    std::vector<std::vector<std::string>> reference(tenant_names.size());
-    for (size_t i = 0; i < tenant_names.size(); ++i) {
-      TestServer single =
-          StartServer({{kDefaultGraphName, graph_paths_[i]}}, options);
-      for (int pass = 0; pass < 2; ++pass) {
-        auto got = RunQueryLines("127.0.0.1", single.server->port(),
-                                 QueryLines(""));
-        ASSERT_TRUE(got.ok()) << got.status();
-        for (size_t q = 0; q < got->size(); ++q) {
-          const std::string normalized = NormalizeSeconds((*got)[q]);
-          if (pass == 0) {
-            reference[i].push_back(normalized);
-          } else {
-            EXPECT_EQ(normalized, reference[i][q])
-                << "single server " << i << " warm pass diverged at " << q;
-          }
+  // Reference: three isolated single-graph servers, each queried with
+  // the keyless v2 lines. Two passes — pass 0 builds cold, pass 1 is
+  // the warm cache — and the bytes must not differ between passes.
+  std::vector<std::vector<std::string>> reference(tenant_names.size());
+  for (size_t i = 0; i < tenant_names.size(); ++i) {
+    TestServer single =
+        StartServer({{kDefaultGraphName, graph_paths_[i]}}, options);
+    for (int pass = 0; pass < 2; ++pass) {
+      auto got = RunQueryLines("127.0.0.1", single.server->port(),
+                               QueryLines(""));
+      ASSERT_TRUE(got.ok()) << got.status();
+      for (size_t q = 0; q < got->size(); ++q) {
+        const std::string normalized = NormalizeSeconds((*got)[q]);
+        if (pass == 0) {
+          reference[i].push_back(normalized);
+        } else {
+          EXPECT_EQ(normalized, reference[i][q])
+              << "single server " << i << " warm pass diverged at " << q;
         }
       }
-      single.server->Shutdown();
     }
-
-    // One 3-tenant server, queried with the graph-addressed lines,
-    // interleaved across tenants on one connection: every response must
-    // be the isolated server's bytes, cold and warm.
-    TestServer multi = StartServer({{tenant_names[0], graph_paths_[0]},
-                                    {tenant_names[1], graph_paths_[1]},
-                                    {tenant_names[2], graph_paths_[2]}},
-                                   options);
-    std::vector<std::string> lines;
-    std::vector<std::pair<size_t, size_t>> origin;  // (tenant, query).
-    for (size_t q = 0; q < 3; ++q) {
-      for (size_t i = 0; i < tenant_names.size(); ++i) {
-        // The default tenant is addressed implicitly — the v2 spelling.
-        const std::string graph = i == 0 ? "" : tenant_names[i];
-        lines.push_back(QueryLines(graph)[q]);
-        origin.emplace_back(i, q);
-      }
-    }
-    for (int pass = 0; pass < 2; ++pass) {
-      auto got = RunQueryLines("127.0.0.1", multi.server->port(), lines);
-      ASSERT_TRUE(got.ok()) << got.status();
-      ASSERT_EQ(got->size(), lines.size());
-      for (size_t j = 0; j < got->size(); ++j) {
-        const auto [tenant, query] = origin[j];
-        EXPECT_EQ(NormalizeSeconds((*got)[j]), reference[tenant][query])
-            << "pass " << pass << " tenant " << tenant_names[tenant]
-            << " query " << query;
-      }
-    }
-    multi.server->Shutdown();
+    single.server->Shutdown();
   }
+
+  // One 3-tenant server, queried with the graph-addressed lines,
+  // interleaved across tenants on one connection: every response must
+  // be the isolated server's bytes, cold and warm.
+  TestServer multi = StartServer({{tenant_names[0], graph_paths_[0]},
+                                  {tenant_names[1], graph_paths_[1]},
+                                  {tenant_names[2], graph_paths_[2]}},
+                                 options);
+  std::vector<std::string> lines;
+  std::vector<std::pair<size_t, size_t>> origin;  // (tenant, query).
+  for (size_t q = 0; q < 3; ++q) {
+    for (size_t i = 0; i < tenant_names.size(); ++i) {
+      // The default tenant is addressed implicitly — the v2 spelling.
+      const std::string graph = i == 0 ? "" : tenant_names[i];
+      lines.push_back(QueryLines(graph)[q]);
+      origin.emplace_back(i, q);
+    }
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    auto got = RunQueryLines("127.0.0.1", multi.server->port(), lines);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->size(), lines.size());
+    for (size_t j = 0; j < got->size(); ++j) {
+      const auto [tenant, query] = origin[j];
+      EXPECT_EQ(NormalizeSeconds((*got)[j]), reference[tenant][query])
+          << "pass " << pass << " tenant " << tenant_names[tenant]
+          << " query " << query;
+    }
+  }
+  multi.server->Shutdown();
 }
 
 TEST_F(TenancyTest, SharedBudgetCrossesTenantsOverTheWire) {
