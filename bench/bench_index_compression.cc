@@ -1,6 +1,6 @@
 // Compression receipt for the inverted walk index: bytes/entry of the
-// delta+varint posting layout vs. the former raw CSR, plus the decode +
-// tally scan cost at scalar and best-SIMD kernel levels.
+// delta+varint posting layout vs. the former raw CSR, plus the cost of
+// one decode + savings-tally sweep through GainState::ApproxGain.
 //
 // This is a gate, not just a report. The binary exits non-zero if
 //   - any decoded posting list diverges from a brute-force inversion of
@@ -19,7 +19,6 @@
 #include "index/inverted_walk_index.h"
 #include "util/json.h"
 #include "util/logging.h"
-#include "util/simd.h"
 #include "util/timer.h"
 #include "walk/walk_source.h"
 
@@ -60,25 +59,19 @@ bool VerifyLossless(const InvertedWalkIndex& index, const Graph& graph,
   return true;
 }
 
-// Full decode + savings-tally sweep over every list — the CELF hot loop's
-// memory-access shape — at the currently bound kernel level.
+// Full decode + savings-tally sweep over every list — the greedy's first
+// round, one ApproxGain per node on the Problem 1 hot loop.
 double TimeScanTally(const InvertedWalkIndex& index, int rounds) {
-  std::vector<int32_t> d(static_cast<size_t>(index.num_nodes()),
-                         index.length());
+  const GainState gain_state(&index, Problem::kHittingTime);
   WallTimer timer;
-  int64_t total = 0;
+  double total = 0.0;
   for (int round = 0; round < rounds; ++round) {
-    for (int32_t i = 0; i < index.num_replicates(); ++i) {
-      for (NodeId v = 0; v < index.num_nodes(); ++v) {
-        for (auto cursor = index.List(i, v); cursor.Next();) {
-          total += TallySavings(d.data(), cursor.ids(), cursor.weights(),
-                                cursor.count());
-        }
-      }
+    for (NodeId u = 0; u < index.num_nodes(); ++u) {
+      total += gain_state.ApproxGain(u);
     }
   }
   const double seconds = timer.Seconds();
-  RWDOM_CHECK_GE(total, 0);  // Keep the sweep observable.
+  RWDOM_CHECK_GE(total, 0.0);  // Keep the sweep observable.
   return seconds / rounds;
 }
 
@@ -119,10 +112,7 @@ int Run(int argc, char** argv) {
       static_cast<double>(raw) / static_cast<double>(compressed);
 
   const int rounds = args.full ? 20 : 5;
-  SetSimdLevelForTest(SimdLevel::kScalar);
-  const double scalar_seconds = TimeScanTally(index, rounds);
-  const SimdLevel best = SetSimdLevelForTest(MaxSupportedSimdLevel());
-  const double simd_seconds = TimeScanTally(index, rounds);
+  const double scan_seconds = TimeScanTally(index, rounds);
 
   std::printf("entries=%lld compressed=%lld bytes raw=%lld bytes\n",
               static_cast<long long>(entries),
@@ -130,10 +120,7 @@ int Run(int argc, char** argv) {
               static_cast<long long>(raw));
   std::printf("bytes/entry: compressed=%.3f raw=%.3f ratio=%.2fx\n",
               bpe_compressed, bpe_raw, ratio);
-  std::printf("scan+tally: scalar=%.3f ms %s=%.3f ms (%.2fx)\n",
-              scalar_seconds * 1e3, SimdLevelName(best),
-              simd_seconds * 1e3,
-              simd_seconds > 0.0 ? scalar_seconds / simd_seconds : 0.0);
+  std::printf("scan+tally: %.3f ms per sweep\n", scan_seconds * 1e3);
   std::printf("build=%.3f ms; postings %s; ratio %s 2x target\n",
               build_seconds * 1e3,
               lossless ? "lossless" : "MISMATCH",
@@ -154,10 +141,8 @@ int Run(int argc, char** argv) {
   json.Key("bytes_per_entry_raw").Number(bpe_raw);
   json.Key("compression_ratio").Number(ratio);
   json.Key("lossless").Bool(lossless);
-  json.Key("simd_level").String(SimdLevelName(best));
   json.Key("build_seconds").Number(build_seconds);
-  json.Key("scan_scalar_seconds").Number(scalar_seconds);
-  json.Key("scan_simd_seconds").Number(simd_seconds);
+  json.Key("scan_seconds").Number(scan_seconds);
   json.EndObject();
   MaybeDumpJson(args, "index_compression", json.ToString());
 

@@ -10,7 +10,6 @@
 #include "index/gain_state.h"
 #include "index/inverted_walk_index.h"
 #include "util/parallel.h"
-#include "util/simd.h"
 #include "walk/hit_probability_dp.h"
 #include "walk/hitting_time_dp.h"
 #include "walk/sampled_evaluator.h"
@@ -158,18 +157,22 @@ const InvertedWalkIndex& BenchIndex() {
   return *kIndex;
 }
 
-// Block-decode every list and run the savings tally, at the SIMD level
-// named by the benchmark argument (0=scalar, 1=sse42, 2=avx2; levels the
-// CPU lacks silently clamp, so cross-machine JSON stays comparable).
+// The Problem 1 savings tally of GainState::ApproxGain over one run of
+// postings; both scan benchmarks below share it, so they differ only in
+// where the postings come from.
+int64_t SumSavings(const int32_t* d_row, const int32_t* ids,
+                   const int32_t* weights, size_t count) {
+  int64_t total = 0;
+  for (size_t k = 0; k < count; ++k) {
+    const int32_t saved = d_row[ids[k]] - weights[k];
+    if (saved > 0) total += saved;
+  }
+  return total;
+}
+
+// Block-decode every list and run the savings tally on each block.
 void BM_CompressedScanTally(benchmark::State& state) {
   const InvertedWalkIndex& index = BenchIndex();
-  const SimdLevel requested = static_cast<SimdLevel>(state.range(0));
-  const SimdLevel bound = SetSimdLevelForTest(requested);
-  if (bound != requested) {
-    state.SkipWithError("SIMD level unsupported on this CPU");
-    SetSimdLevelForTest(ActiveSimdLevel());
-    return;
-  }
   std::vector<int32_t> d(static_cast<size_t>(index.num_nodes()),
                          index.length());
   for (auto _ : state) {
@@ -177,29 +180,21 @@ void BM_CompressedScanTally(benchmark::State& state) {
     for (int32_t i = 0; i < index.num_replicates(); ++i) {
       for (NodeId v = 0; v < index.num_nodes(); ++v) {
         for (auto cursor = index.List(i, v); cursor.Next();) {
-          total += TallySavings(d.data(), cursor.ids(), cursor.weights(),
-                                cursor.count());
+          total += SumSavings(d.data(), cursor.ids(), cursor.weights(),
+                              static_cast<size_t>(cursor.count()));
         }
       }
     }
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(state.iterations() * index.TotalEntries());
-  SetSimdLevelForTest(MaxSupportedSimdLevel());
 }
-BENCHMARK(BM_CompressedScanTally)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CompressedScanTally);
 
 // The same tally over pre-decoded (raw CSR) arrays — isolates the decode
 // cost the compressed layout adds and the bandwidth it saves.
 void BM_RawScanTally(benchmark::State& state) {
   const InvertedWalkIndex& index = BenchIndex();
-  const SimdLevel requested = static_cast<SimdLevel>(state.range(0));
-  const SimdLevel bound = SetSimdLevelForTest(requested);
-  if (bound != requested) {
-    state.SkipWithError("SIMD level unsupported on this CPU");
-    SetSimdLevelForTest(ActiveSimdLevel());
-    return;
-  }
   // Flatten to one ids/weights pair per replicate (list bounds dropped:
   // the savings tally is list-oblivious).
   std::vector<std::vector<int32_t>> ids(
@@ -218,45 +213,14 @@ void BM_RawScanTally(benchmark::State& state) {
   for (auto _ : state) {
     int64_t total = 0;
     for (size_t i = 0; i < ids.size(); ++i) {
-      total += TallySavings(d.data(), ids[i].data(), weights[i].data(),
-                            static_cast<int32_t>(ids[i].size()));
+      total += SumSavings(d.data(), ids[i].data(), weights[i].data(),
+                          ids[i].size());
     }
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(state.iterations() * index.TotalEntries());
-  SetSimdLevelForTest(MaxSupportedSimdLevel());
 }
-BENCHMARK(BM_RawScanTally)->Arg(0)->Arg(2);
-
-void BM_FirstHitBatch(benchmark::State& state) {
-  const Graph& graph = BenchGraph();
-  const SimdLevel requested = static_cast<SimdLevel>(state.range(0));
-  const SimdLevel bound = SetSimdLevelForTest(requested);
-  if (bound != requested) {
-    state.SkipWithError("SIMD level unsupported on this CPU");
-    SetSimdLevelForTest(ActiveSimdLevel());
-    return;
-  }
-  const int32_t row_len = 7;
-  const int64_t rows = 512;
-  NodeFlagSet targets(graph.num_nodes(), {1, 5, 9, 42, 137});
-  std::vector<int32_t> matrix(static_cast<size_t>(rows) * row_len);
-  uint64_t x = 1;
-  for (int32_t& id : matrix) {  // xorshift-filled node ids
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    id = static_cast<int32_t>(x % static_cast<uint64_t>(graph.num_nodes()));
-  }
-  for (auto _ : state) {
-    FirstHitTally tally =
-        TallyFirstHits(targets.flags_data(), matrix.data(), rows, row_len);
-    benchmark::DoNotOptimize(tally.hits);
-  }
-  state.SetItemsProcessed(state.iterations() * rows * row_len);
-  SetSimdLevelForTest(MaxSupportedSimdLevel());
-}
-BENCHMARK(BM_FirstHitBatch)->Arg(0)->Arg(2);
+BENCHMARK(BM_RawScanTally);
 
 void BM_GeneratePowerLaw(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));

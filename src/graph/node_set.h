@@ -8,7 +8,6 @@
 
 #include "graph/graph.h"
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace rwdom {
 
@@ -16,14 +15,10 @@ namespace rwdom {
 /// greedy algorithms only ever grow S.
 class NodeFlagSet {
  public:
-  /// Empty set over a universe of `universe_size` nodes. The flag array
-  /// carries kFlagsPadBytes of zeroed slack so SIMD gathers over
-  /// flags_data() may read past the last node (util/simd.h contract).
+  /// Empty set over a universe of `universe_size` nodes.
   explicit NodeFlagSet(NodeId universe_size)
       : universe_(universe_size),
-        flags_(static_cast<size_t>(universe_size) +
-                   static_cast<size_t>(kFlagsPadBytes),
-               0) {
+        flags_(static_cast<size_t>(universe_size), 0) {
     RWDOM_CHECK_GE(universe_size, 0);
   }
 
@@ -50,11 +45,6 @@ class NodeFlagSet {
   NodeId universe_size() const { return universe_; }
   size_t size() const { return members_.size(); }
   bool empty() const { return members_.empty(); }
-
-  /// Raw 0/1 flag bytes, one per node, with kFlagsPadBytes of readable
-  /// (zero) slack after the last — the layout the SIMD first-hit kernel
-  /// gathers from.
-  const uint8_t* flags_data() const { return flags_.data(); }
 
   /// Members in insertion order.
   const std::vector<NodeId>& members() const { return members_; }

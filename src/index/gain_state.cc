@@ -2,7 +2,6 @@
 
 #include "util/logging.h"
 #include "util/parallel.h"
-#include "util/simd.h"
 
 namespace rwdom {
 
@@ -23,7 +22,7 @@ double GainState::ApproxGain(NodeId u) const {
   const size_t n = static_cast<size_t>(index_.num_nodes());
   // Every summand is an integer bounded by L, so the whole gain
   // accumulates exactly in int64 and converts to double once — which is
-  // why scalar and SIMD tallies (and any thread count) agree bit for bit.
+  // why any thread count agrees bit for bit.
   int64_t total = 0;
   if (problem_ == Problem::kHittingTime) {
     for (int32_t i = 0; i < replicates; ++i) {
@@ -33,8 +32,13 @@ double GainState::ApproxGain(NodeId u) const {
       // Every walk that reaches u at hop j earlier than its current hit of
       // S improves by D[i][w] - j.
       for (auto cursor = index_.List(i, u); cursor.Next();) {
-        sigma += TallySavings(d_row, cursor.ids(), cursor.weights(),
-                              cursor.count());
+        const int32_t* ids = cursor.ids();
+        const int32_t* weights = cursor.weights();
+        for (int32_t k = 0; k < cursor.count(); ++k) {
+          const int32_t saved =
+              d_row[static_cast<size_t>(ids[k])] - weights[k];
+          if (saved > 0) sigma += saved;
+        }
       }
       total += sigma;
     }
@@ -45,7 +49,10 @@ double GainState::ApproxGain(NodeId u) const {
       int64_t rho = 1 - d_row[static_cast<size_t>(u)];
       // Every walk that reaches u but does not yet hit S becomes a hit.
       for (auto cursor = index_.List(i, u); cursor.Next();) {
-        rho += TallyZeros(d_row, cursor.ids(), cursor.count());
+        const int32_t* ids = cursor.ids();
+        for (int32_t k = 0; k < cursor.count(); ++k) {
+          if (d_row[static_cast<size_t>(ids[k])] == 0) ++rho;
+        }
       }
       total += rho;
     }

@@ -12,7 +12,7 @@
 // stream (index/postings_codec.h) — roughly 1-2 bytes per posting against
 // the 8 bytes of the former raw layout. List() hands back a block-decoding
 // cursor that expands kPostingBlockEntries postings at a time into stack
-// buffers, which the SIMD tally kernels (util/simd.h) consume; DecodeList
+// buffers, which the tally loops in GainState consume; DecodeList
 // materializes a whole list for tests and tools.
 #ifndef RWDOM_INDEX_INVERTED_WALK_INDEX_H_
 #define RWDOM_INDEX_INVERTED_WALK_INDEX_H_
@@ -92,8 +92,8 @@ class InvertedWalkIndex {
     int32_t weight_bits_;
     int32_t count_ = 0;
     int32_t prev_ = -1;
-    alignas(32) int32_t ids_[kPostingBlockEntries];
-    alignas(32) int32_t weights_[kPostingBlockEntries];
+    int32_t ids_[kPostingBlockEntries];
+    int32_t weights_[kPostingBlockEntries];
   };
 
   /// Postings for target node `v` in replicate `i`, ordered by walk source.

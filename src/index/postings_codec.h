@@ -12,8 +12,8 @@
 //
 // One LEB128 varint per posting; typical graphs land at 1-2 bytes per
 // 8-byte raw entry. Decoding proceeds block-at-a-time (kPostingBlockEntries
-// per step) into stack buffers, which is where the SIMD tally kernels
-// (util/simd.h) pick the entries up.
+// per step) into stack buffers, which is where the gain tally loops
+// (index/gain_state.cc) pick the entries up.
 //
 // Two decoders: the unchecked fast path (trusted, post-validation data —
 // the in-memory index) and a checked variant for the persist layer, which

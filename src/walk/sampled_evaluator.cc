@@ -1,10 +1,7 @@
 #include "walk/sampled_evaluator.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 #include "util/parallel.h"
-#include "util/simd.h"
 #include "walk/walk.h"
 
 namespace rwdom {
@@ -36,35 +33,6 @@ NodeTally TallyNode(WalkSource* source, bool use_streams, NodeId u,
     }
   }
   return tally;
-}
-
-// Stream-source variant of TallyNode: draws the R walks into one padded
-// row-major matrix (R x (L+1)) and scans all of them through the SIMD
-// first-hit kernel. A stuck walk pads its row by repeating its last
-// position, which cannot invent or move a first hit (any flagged pad node
-// already appeared earlier in the row), so the tally — pure integers —
-// is identical to the per-walk FindFirstHit scan.
-NodeTally TallyNodeBatch(WalkSource* source, NodeId u, int32_t length,
-                         int32_t num_samples, const NodeFlagSet& targets,
-                         std::vector<NodeId>* trajectory,
-                         std::vector<int32_t>* matrix) {
-  const int32_t row_len = length + 1;
-  matrix->resize(static_cast<size_t>(num_samples) *
-                 static_cast<size_t>(row_len));
-  for (int32_t i = 0; i < num_samples; ++i) {
-    source->SampleWalkStream(u, static_cast<uint64_t>(i), length,
-                             trajectory);
-    RWDOM_DCHECK(!trajectory->empty() &&
-                 trajectory->size() <= static_cast<size_t>(row_len));
-    int32_t* row = matrix->data() +
-                   static_cast<size_t>(i) * static_cast<size_t>(row_len);
-    std::copy(trajectory->begin(), trajectory->end(), row);
-    std::fill(row + trajectory->size(), row + row_len,
-              trajectory->back());
-  }
-  const FirstHitTally tally = TallyFirstHits(
-      targets.flags_data(), matrix->data(), num_samples, row_len);
-  return {tally.hits, tally.hit_time_sum};
 }
 
 }  // namespace
@@ -100,12 +68,11 @@ SampledObjectives SampledEvaluator::EvaluateWithPerNode(
   if (use_streams) {
     ParallelForChunks(0, n, [&](int, int64_t begin, int64_t end) {
       std::vector<NodeId> trajectory;
-      std::vector<int32_t> matrix;
       for (int64_t u = begin; u < end; ++u) {
         if (targets.Contains(static_cast<NodeId>(u))) continue;
         tallies[static_cast<size_t>(u)] =
-            TallyNodeBatch(source, static_cast<NodeId>(u), length_,
-                           num_samples_, targets, &trajectory, &matrix);
+            TallyNode(source, /*use_streams=*/true, static_cast<NodeId>(u),
+                      length_, num_samples_, targets, &trajectory);
       }
     });
   } else {

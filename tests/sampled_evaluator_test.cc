@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "walk/hit_probability_dp.h"
 #include "walk/hitting_time_dp.h"
 #include "walk/sample_size.h"
+#include "walk/walk.h"
 
 namespace rwdom {
 namespace {
@@ -49,6 +52,68 @@ TEST(SampledEvaluatorTest, FixedWalksReproduceEquations9And10) {
   // F̂1 = nL - (2 + 1.5) = 6 - 3.5; F̂2 = 1 + 0.5 + 0.5.
   EXPECT_DOUBLE_EQ(result.f1, 2.5);
   EXPECT_DOUBLE_EQ(result.f2, 2.0);
+}
+
+TEST(SampledEvaluatorTest, StreamSourceMatchesPerWalkReplay) {
+  // The stream (parallel) path against Equations 9/10 tallied by hand
+  // from the same (node, stream) walks. Node 40 is isolated, so its walks
+  // get stuck at Z^0 and never reach S.
+  auto er = GenerateErdosRenyiGnm(40, 80, 17);
+  ASSERT_TRUE(er.ok());
+  GraphBuilder builder(41);
+  for (NodeId u = 0; u < er->num_nodes(); ++u) {
+    for (NodeId v : er->neighbors(u)) {
+      if (u < v) builder.AddEdge(u, v);
+    }
+  }
+  Graph g = std::move(builder).BuildOrDie();
+  const NodeId isolated = 40;
+  ASSERT_EQ(g.degree(isolated), 0);
+  const int32_t length = 5;
+  const int32_t samples = 64;  // A power of two, so 1/R scales exactly.
+  NodeFlagSet s(g.num_nodes(), {0, 7, 33});
+
+  RandomWalkSource source(&g, 91);
+  ASSERT_TRUE(source.has_deterministic_streams());
+  SampledEvaluator evaluator(length, samples);
+  PerNodeEstimates per_node;
+  SampledObjectives result =
+      evaluator.EvaluateWithPerNode(s, &source, &per_node);
+
+  RandomWalkSource replay(&g, 91);
+  std::vector<NodeId> walk;
+  double total_hitting = 0.0;
+  double total_hits = 0.0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    double h_hat = 0.0;
+    double p_hat = 1.0;
+    if (!s.Contains(u)) {
+      int64_t hits = 0;
+      int64_t time_sum = 0;
+      for (int32_t i = 0; i < samples; ++i) {
+        replay.SampleWalkStream(u, static_cast<uint64_t>(i), length, &walk);
+        const FirstHit first = FindFirstHit(walk, s, length);
+        if (first.hit) {
+          ++hits;
+          time_sum += first.time;
+        }
+      }
+      // Eq. 9: a walk that misses S counts the full budget L.
+      const int64_t misses = samples - hits;
+      h_hat = static_cast<double>(time_sum + misses * length) / samples;
+      p_hat = static_cast<double>(hits) / samples;  // Eq. 10.
+      total_hitting += h_hat;
+      total_hits += p_hat;
+    }
+    EXPECT_EQ(per_node.hitting_time[static_cast<size_t>(u)], h_hat)
+        << "node " << u;
+    EXPECT_EQ(per_node.hit_prob[static_cast<size_t>(u)], p_hat) << "node " << u;
+  }
+  EXPECT_EQ(per_node.hitting_time[isolated], static_cast<double>(length));
+  EXPECT_EQ(per_node.hit_prob[isolated], 0.0);
+  EXPECT_EQ(result.f1,
+            static_cast<double>(g.num_nodes()) * length - total_hitting);
+  EXPECT_EQ(result.f2, static_cast<double>(s.size()) + total_hits);
 }
 
 TEST(SampledEvaluatorTest, ConvergesToExactDp) {
