@@ -7,13 +7,12 @@
 
 #include "graph/generators.h"
 #include "graph/node_set.h"
+#include "graph/properties.h"
 #include "index/gain_state.h"
 #include "index/inverted_walk_index.h"
 #include "util/parallel.h"
-#include "walk/hit_probability_dp.h"
-#include "walk/hitting_time_dp.h"
 #include "walk/sampled_evaluator.h"
-#include "graph/properties.h"
+#include "walk/transition_dp.h"
 #include "walk/walk_source.h"
 
 namespace rwdom {
@@ -43,7 +42,7 @@ BENCHMARK(BM_RandomWalkSampling)->Arg(4)->Arg(8)->Arg(16);
 void BM_HittingTimeDp(benchmark::State& state) {
   const Graph& graph = BenchGraph();
   const int32_t length = static_cast<int32_t>(state.range(0));
-  HittingTimeDp dp(&graph, length);
+  TransitionDp dp(&graph, length);
   NodeFlagSet targets(graph.num_nodes(), {1, 5, 9, 42, 137});
   for (auto _ : state) {
     benchmark::DoNotOptimize(dp.F1(targets));
@@ -55,7 +54,7 @@ BENCHMARK(BM_HittingTimeDp)->Arg(5)->Arg(10);
 void BM_HitProbabilityDp(benchmark::State& state) {
   const Graph& graph = BenchGraph();
   const int32_t length = static_cast<int32_t>(state.range(0));
-  HitProbabilityDp dp(&graph, length);
+  TransitionDp dp(&graph, length);
   NodeFlagSet targets(graph.num_nodes(), {1, 5, 9, 42, 137});
   for (auto _ : state) {
     benchmark::DoNotOptimize(dp.F2(targets));

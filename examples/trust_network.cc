@@ -17,13 +17,15 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/selector_registry.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "util/table_printer.h"
 #include "util/rng.h"
 #include "util/strings.h"
-#include "wgraph/weighted_dp.h"
-#include "wgraph/weighted_select.h"
+#include "walk/transition_dp.h"
+#include "wgraph/weighted_graph.h"
+#include "wgraph/weighted_transition_model.h"
 
 namespace {
 
@@ -63,18 +65,17 @@ int main() {
               trust.num_nodes(), static_cast<long long>(trust.num_arcs()),
               kBrowseLength, kBadges);
 
-  // Candidate placements.
-  WeightedApproxGreedy::Options approx_options{.length = kBrowseLength,
-                                               .num_replicates = 150,
-                                               .seed = 3,
-                                               .lazy = true};
-  WeightedApproxGreedy weighted_approx(&trust, Problem::kDominatedCount,
-                                       approx_options);
-  std::vector<NodeId> weighted_seeds = weighted_approx.Select(kBadges).selected;
-
-  WeightedDpGreedy weighted_dp(&trust, Problem::kDominatedCount,
-                               kBrowseLength);
-  std::vector<NodeId> dp_seeds = weighted_dp.Select(kBadges).selected;
+  // Candidate placements: the same selectors every substrate uses, run
+  // over weight-proportional transitions.
+  WeightedTransitionModel trust_model(&trust);
+  auto select = [&](const char* name, const TransitionModel& model) {
+    SelectorParams params{
+        .length = kBrowseLength, .num_samples = 150, .seed = 3};
+    auto selector = MakeSelector(name, &model, params).value();
+    return selector->Select(kBadges).selected;
+  };
+  std::vector<NodeId> weighted_seeds = select("ApproxF2", trust_model);
+  std::vector<NodeId> dp_seeds = select("DPF2", trust_model);
 
   // Ablation A: pretend every arc has weight 1 (ignore trust strength).
   WeightedGraph unit_weights = [&] {
@@ -86,11 +87,8 @@ int main() {
     }
     return std::move(builder).BuildOrDie();
   }();
-  WeightedDpGreedy unweighted_objective(&unit_weights,
-                                        Problem::kDominatedCount,
-                                        kBrowseLength);
-  std::vector<NodeId> unit_seeds =
-      unweighted_objective.Select(kBadges).selected;
+  WeightedTransitionModel unit_model(&unit_weights);
+  std::vector<NodeId> unit_seeds = select("DPF2", unit_model);
 
   // Ablation B: out-degree heuristic (ignores both weights and reach).
   std::vector<NodeId> degree_seeds;
@@ -107,15 +105,15 @@ int main() {
   }
 
   // Score everything under the true weighted objective.
-  WeightedDp scorer(&trust, kBrowseLength);
+  TransitionDp scorer(&trust_model, kBrowseLength);
   TablePrinter table({"placement", "EHN (weighted walks)", "AHT"});
   struct Row {
     const char* name;
     const std::vector<NodeId>* seeds;
   };
   for (const Row& row :
-       std::vector<Row>{{"WeightedDPF2", &dp_seeds},
-                        {"WeightedApproxF2", &weighted_seeds},
+       std::vector<Row>{{"DPF2 (weighted)", &dp_seeds},
+                        {"ApproxF2 (weighted)", &weighted_seeds},
                         {"unit-weight greedy", &unit_seeds},
                         {"out-degree top-k", &degree_seeds}}) {
     NodeFlagSet s(n, *row.seeds);
@@ -132,7 +130,7 @@ int main() {
   std::printf(
       "\nThe weighted greedy variants dominate: ignoring trust weights or\n"
       "edge directions misplaces badges onto nodes that trust-weighted\n"
-      "browsing rarely reaches. WeightedApproxF2 matches WeightedDPF2 at a\n"
-      "fraction of the cost — Algorithm 6 carries over unchanged.\n");
+      "browsing rarely reaches. Weighted ApproxF2 matches weighted DPF2 at\n"
+      "a fraction of the cost — Algorithm 6 carries over unchanged.\n");
   return 0;
 }

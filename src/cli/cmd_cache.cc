@@ -37,11 +37,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string KeyLabel(const SnapshotMeta& meta) {
-  return meta.key.has_value() ? meta.key->CanonicalString()
-                              : "(v1: no artifact key)";
-}
-
 /// The filtered tree plus whether output should carry the graph
 /// dimension at all (the v2 byte-identity gate).
 struct CacheView {
@@ -95,9 +90,7 @@ Status RunCacheLs(const std::string& dir, const CommandEnv& env) {
       json.Key("file").String(entry.file);
       if (meta.ok()) {
         json.Key("version").Int(meta->version);
-        if (meta->key.has_value()) {
-          json.Key("key").String(meta->key->CanonicalString());
-        }
+        json.Key("key").String(meta->key.CanonicalString());
         json.Key("num_nodes").Int(meta->num_nodes);
         json.Key("num_replicates").Int(meta->num_replicates);
         json.Key("total_entries").Int(meta->total_entries);
@@ -127,7 +120,7 @@ Status RunCacheLs(const std::string& dir, const CommandEnv& env) {
     }
     env.out << StrFormat(
         "  %s  v%u  %s  nodes=%d replicates=%d entries=%lld bytes=%lld\n",
-        label.c_str(), meta->version, KeyLabel(*meta).c_str(),
+        label.c_str(), meta->version, meta->key.CanonicalString().c_str(),
         meta->num_nodes, meta->num_replicates,
         static_cast<long long>(meta->total_entries),
         static_cast<long long>(meta->file_bytes));
@@ -156,14 +149,14 @@ Status RunCacheVerify(const std::string& dir, const CommandEnv& env) {
       json.Key("file").String(entry.file);
       json.Key("ok").Bool(meta.ok());
       if (meta.ok()) {
-        json.Key("key").String(KeyLabel(*meta));
+        json.Key("key").String(meta->key.CanonicalString());
       } else {
         json.Key("error").String(meta.status().message());
       }
       json.EndObject();
     } else if (meta.ok()) {
       env.out << StrFormat("  %s  OK  %s\n", label.c_str(),
-                           KeyLabel(*meta).c_str());
+                           meta->key.CanonicalString().c_str());
     } else {
       env.out << StrFormat("  %s  FAIL: %s\n", label.c_str(),
                            meta.status().message().c_str());

@@ -11,8 +11,7 @@
 namespace rwdom {
 
 /// Value oracle for a set function. Implementations: ExactObjective (DP),
-/// SampledObjective (Algorithm 2), CombinedObjective, and the edge-
-/// domination extension.
+/// SampledObjective (Algorithm 2), and the edge-domination extension.
 class Objective {
  public:
   virtual ~Objective() = default;

@@ -85,17 +85,6 @@ InvertedWalkIndex::Replicate InvertedWalkIndex::Compress(
   return rep;
 }
 
-InvertedWalkIndex InvertedWalkIndex::FromRawCsr(
-    NodeId num_nodes, int32_t length, std::vector<RawReplicate> raw) {
-  const int32_t weight_bits = PostingWeightBits(length);
-  std::vector<Replicate> replicates;
-  replicates.reserve(raw.size());
-  for (const RawReplicate& rep : raw) {
-    replicates.push_back(Compress(num_nodes, weight_bits, rep));
-  }
-  return InvertedWalkIndex(num_nodes, length, std::move(replicates));
-}
-
 InvertedWalkIndex InvertedWalkIndex::Build(int32_t length,
                                            int32_t num_replicates,
                                            WalkSource* source) {

@@ -144,8 +144,8 @@ class InvertedWalkIndex {
   // the on-disk format; the friend grant is how it reaches the storage).
   friend class WalkIndexSerializer;
 
-  /// Uncompressed CSR of one replicate: the build paths and the legacy
-  /// snapshot loaders produce this shape, then Compress() folds it away.
+  /// Uncompressed CSR of one replicate: the build paths produce this
+  /// shape, then Compress() folds it away.
   struct RawReplicate {
     std::vector<int64_t> offsets;  // size n + 1
     std::vector<Entry> entries;
@@ -162,10 +162,6 @@ class InvertedWalkIndex {
 
   static Replicate Compress(NodeId num_nodes, int32_t weight_bits,
                             const RawReplicate& raw);
-
-  /// Compresses legacy raw CSR replicates (snapshot v1/v2 loads).
-  static InvertedWalkIndex FromRawCsr(NodeId num_nodes, int32_t length,
-                                      std::vector<RawReplicate> raw);
 
   InvertedWalkIndex(NodeId num_nodes, int32_t length,
                     std::vector<Replicate> replicates)

@@ -140,14 +140,7 @@ Result<int64_t> ArtifactCache::RecoverInto(QueryContext& context) {
                       << snapshot.status().message();
       continue;
     }
-    if (!snapshot->key.has_value()) {
-      context.RecordSnapshotRejected(
-          name + ": legacy v1 snapshot carries no artifact key");
-      RWDOM_LOG(INFO) << "cache: rejected " << name
-                      << ": legacy v1 snapshot carries no artifact key";
-      continue;
-    }
-    const ArtifactKey& key = *snapshot->key;
+    const ArtifactKey& key = snapshot->key;
     if (key.substrate_fingerprint != context.substrate_fingerprint()) {
       context.RecordSnapshotRejected(
           name + ": substrate fingerprint mismatch (snapshot " +
@@ -168,10 +161,7 @@ Result<int64_t> ArtifactCache::RecoverInto(QueryContext& context) {
       context.RecordSnapshotRecovered();
       ++adopted;
       RWDOM_LOG(INFO) << "cache: recovered " << key.CanonicalString()
-                      << " from " << name
-                      << (snapshot->version < 3
-                              ? " (legacy format, recompressed)"
-                              : "");
+                      << " from " << name;
     }
   }
   return adopted;

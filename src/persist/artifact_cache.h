@@ -7,7 +7,7 @@
 //   boot   RecoverInto() scans the directory and adopts every snapshot
 //          whose substrate fingerprint matches the loaded substrate.
 //          Anything else — stale fingerprint, corrupt or truncated file,
-//          legacy v1 snapshot, leftover ".tmp" from an interrupted
+//          unsupported format version, leftover ".tmp" from an interrupted
 //          checkpoint — is a logged, counted rejection (surfaced in
 //          `server_stats`) and the engine simply rebuilds on demand; a
 //          bad cache entry is never an error a client can observe.

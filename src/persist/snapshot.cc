@@ -11,17 +11,14 @@
 #include "index/postings_codec.h"
 #include "util/fault.h"
 #include "util/fingerprint.h"
-#include "util/logging.h"
 #include "util/strings.h"
 
 namespace rwdom {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'W', 'D', 'X'};
-constexpr uint32_t kVersionLegacy = 1;
-constexpr uint32_t kVersionRawCsr = 2;
 constexpr uint32_t kVersion = 3;
-// v2+/v3 header bytes [16, 48): the span the header checksum covers.
+// Header bytes [16, 48): the span the header checksum covers.
 constexpr size_t kHeaderBodyBytes = 32;
 // v3 posting streams are checksummed in independent blocks of this size.
 constexpr uint64_t kDataBlockBytes = 64 * 1024;
@@ -40,49 +37,29 @@ bool ReadPod(std::ifstream& in, T* value) {
   return in.good();
 }
 
-/// Structural validation of a legacy raw-CSR replicate: offsets monotone
-/// from 0 to entry_count, every posting in range, ids strictly ascending
-/// within each list (the recompression encoder requires positive deltas).
-/// A snapshot that decodes but violates the index invariants would crash
-/// the selectors later, which is worse than a rejection now.
-Status ValidateRawReplicate(
-    const std::vector<int64_t>& offsets,
-    const std::vector<InvertedWalkIndex::Entry>& entries, int64_t entry_count,
-    NodeId num_nodes, int32_t length, const std::string& path) {
-  if (offsets.front() != 0 || offsets.back() != entry_count) {
-    return Status::Corruption("offset bounds mismatch: " + path);
-  }
-  for (size_t i = 1; i < offsets.size(); ++i) {
-    if (offsets[i] < offsets[i - 1]) {
-      return Status::Corruption("non-monotone offsets: " + path);
-    }
-  }
-  for (const auto& entry : entries) {
-    if (entry.id < 0 || entry.id >= num_nodes || entry.weight < 1 ||
-        entry.weight > length) {
-      return Status::Corruption("entry out of range: " + path);
-    }
-  }
-  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
-    for (int64_t k = offsets[v] + 1; k < offsets[v + 1]; ++k) {
-      if (entries[static_cast<size_t>(k)].id <=
-          entries[static_cast<size_t>(k - 1)].id) {
-        return Status::Corruption("unsorted posting list: " + path);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-struct HeaderV2 {
+struct Header {
   ArtifactKey key;
   NodeId num_nodes = 0;
   int32_t num_replicates = 0;
 };
 
-/// Reads + checksums the v2/v3 header body (the magic and version are
-/// already consumed). Shared by Load and Inspect.
-Result<HeaderV2> ReadHeaderV2(std::ifstream& in, const std::string& path) {
+/// Reads the magic and version, then checksums and parses the header
+/// body. Shared by Load and Inspect.
+Result<Header> ReadHeader(std::ifstream& in, const std::string& path) {
+  char magic[4];
+  in.read(magic, sizeof(magic));
+  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::Corruption("bad magic: " + path);
+  }
+  uint32_t version = 0;
+  if (!ReadPod(in, &version)) {
+    return Status::Corruption("truncated header: " + path);
+  }
+  if (version != kVersion) {
+    return Status::Corruption(
+        StrFormat("unsupported snapshot version %u: %s", version,
+                  path.c_str()));
+  }
   uint64_t header_checksum = 0;
   if (!ReadPod(in, &header_checksum)) {
     return Status::Corruption("truncated header: " + path);
@@ -93,7 +70,7 @@ Result<HeaderV2> ReadHeaderV2(std::ifstream& in, const std::string& path) {
   if (FingerprintBytes(body, sizeof(body)) != header_checksum) {
     return Status::Corruption("header checksum mismatch: " + path);
   }
-  HeaderV2 header;
+  Header header;
   size_t at = 0;
   auto take = [&](void* out, size_t size) {
     std::memcpy(out, body + at, size);
@@ -119,7 +96,7 @@ struct SectionV3 {
   uint64_t offsets_checksum = 0;
 };
 
-Result<SectionV3> ReadSectionV3(std::ifstream& in, const HeaderV2& header,
+Result<SectionV3> ReadSectionV3(std::ifstream& in, const Header& header,
                                 const std::string& path) {
   SectionV3 section;
   if (!ReadPod(in, &section.entry_count) ||
@@ -146,109 +123,10 @@ uint64_t NumDataBlocks(uint64_t data_bytes) {
 
 }  // namespace
 
-/// The pre-ArtifactKey format: bare (num_nodes, length, replicates)
-/// header, no key, no checksums. Kept loadable so old --save_index files
-/// survive the redesign; postings recompress into the current layout.
-Result<LoadedSnapshot> WalkIndexSerializer::LoadV1(std::ifstream& in,
-                                                   const std::string& path) {
-  NodeId num_nodes = 0;
-  int32_t length = 0;
-  int32_t replicates = 0;
-  if (!ReadPod(in, &num_nodes) || !ReadPod(in, &length) ||
-      !ReadPod(in, &replicates)) {
-    return Status::Corruption("truncated header: " + path);
-  }
-  if (num_nodes < 0 || length < 0 || replicates < 1) {
-    return Status::Corruption("implausible header fields: " + path);
-  }
-
-  std::vector<InvertedWalkIndex::RawReplicate> reps(
-      static_cast<size_t>(replicates));
-  for (auto& rep : reps) {
-    rep.offsets.resize(static_cast<size_t>(num_nodes) + 1);
-    in.read(reinterpret_cast<char*>(rep.offsets.data()),
-            static_cast<std::streamsize>(rep.offsets.size() *
-                                         sizeof(int64_t)));
-    int64_t entry_count = 0;
-    if (!in.good() || !ReadPod(in, &entry_count) || entry_count < 0) {
-      return Status::Corruption("truncated replicate: " + path);
-    }
-    rep.entries.resize(static_cast<size_t>(entry_count));
-    in.read(reinterpret_cast<char*>(rep.entries.data()),
-            static_cast<std::streamsize>(rep.entries.size() *
-                                         sizeof(InvertedWalkIndex::Entry)));
-    if (!in.good() && entry_count > 0) {
-      return Status::Corruption("truncated entries: " + path);
-    }
-    RWDOM_RETURN_IF_ERROR(ValidateRawReplicate(rep.offsets, rep.entries,
-                                               entry_count, num_nodes,
-                                               length, path));
-  }
-  in.peek();
-  if (!in.eof()) return Status::Corruption("trailing bytes: " + path);
-  RWDOM_LOG(INFO) << "snapshot: recompressed legacy v1 postings from "
-                  << path;
-  return LoadedSnapshot{
-      InvertedWalkIndex::FromRawCsr(num_nodes, length, std::move(reps)),
-      std::nullopt, kVersionLegacy};
-}
-
-/// The raw-CSR v2 format: i64 offsets + 8-byte entries per replicate under
-/// one section checksum. Loads recompress into the current layout.
-Result<LoadedSnapshot> WalkIndexSerializer::LoadV2(std::ifstream& in,
-                                                   const std::string& path) {
-  RWDOM_ASSIGN_OR_RETURN(HeaderV2 header, ReadHeaderV2(in, path));
-  const NodeId num_nodes = header.num_nodes;
-  const uint64_t max_entries = static_cast<uint64_t>(num_nodes) *
-                               static_cast<uint64_t>(header.key.length);
-
-  std::vector<InvertedWalkIndex::RawReplicate> reps(
-      static_cast<size_t>(header.num_replicates));
-  for (auto& rep : reps) {
-    uint64_t entry_count = 0;
-    uint64_t section_checksum = 0;
-    if (!ReadPod(in, &entry_count) || !ReadPod(in, &section_checksum)) {
-      return Status::Corruption("truncated replicate: " + path);
-    }
-    if (entry_count > max_entries) {
-      return Status::Corruption("implausible entry count: " + path);
-    }
-    rep.offsets.resize(static_cast<size_t>(num_nodes) + 1);
-    in.read(reinterpret_cast<char*>(rep.offsets.data()),
-            static_cast<std::streamsize>(rep.offsets.size() *
-                                         sizeof(int64_t)));
-    if (!in.good()) return Status::Corruption("truncated offsets: " + path);
-    rep.entries.resize(static_cast<size_t>(entry_count));
-    in.read(reinterpret_cast<char*>(rep.entries.data()),
-            static_cast<std::streamsize>(rep.entries.size() *
-                                         sizeof(InvertedWalkIndex::Entry)));
-    if (!in.good() && entry_count > 0) {
-      return Status::Corruption("truncated entries: " + path);
-    }
-    Fingerprint section;
-    section.Update(rep.offsets.data(),
-                   rep.offsets.size() * sizeof(int64_t));
-    section.Update(rep.entries.data(),
-                   rep.entries.size() * sizeof(InvertedWalkIndex::Entry));
-    if (section.Digest() != section_checksum) {
-      return Status::Corruption("section checksum mismatch: " + path);
-    }
-    RWDOM_RETURN_IF_ERROR(ValidateRawReplicate(
-        rep.offsets, rep.entries, static_cast<int64_t>(entry_count),
-        num_nodes, header.key.length, path));
-  }
-  in.peek();
-  if (!in.eof()) return Status::Corruption("trailing bytes: " + path);
-  RWDOM_LOG(INFO) << "snapshot: recompressed legacy v2 postings from "
-                  << path;
-  return LoadedSnapshot{InvertedWalkIndex::FromRawCsr(
-                            num_nodes, header.key.length, std::move(reps)),
-                        header.key, kVersionRawCsr};
-}
-
-Result<LoadedSnapshot> WalkIndexSerializer::LoadV3(std::ifstream& in,
-                                                   const std::string& path) {
-  RWDOM_ASSIGN_OR_RETURN(HeaderV2 header, ReadHeaderV2(in, path));
+Result<LoadedSnapshot> WalkIndexSerializer::Load(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IoError("cannot open: " + path);
+  RWDOM_ASSIGN_OR_RETURN(Header header, ReadHeader(in, path));
   const NodeId num_nodes = header.num_nodes;
   const int32_t weight_bits = PostingWeightBits(header.key.length);
 
@@ -329,7 +207,7 @@ Result<LoadedSnapshot> WalkIndexSerializer::LoadV3(std::ifstream& in,
   if (!in.eof()) return Status::Corruption("trailing bytes: " + path);
   return LoadedSnapshot{
       InvertedWalkIndex(num_nodes, header.key.length, std::move(reps)),
-      header.key, kVersion};
+      header.key};
 }
 
 Status WalkIndexSerializer::Save(const InvertedWalkIndex& index,
@@ -420,27 +298,6 @@ Status WalkIndexSerializer::Save(const InvertedWalkIndex& index,
   return Status::OK();
 }
 
-Result<LoadedSnapshot> WalkIndexSerializer::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open: " + path);
-
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption("bad magic: " + path);
-  }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version)) {
-    return Status::Corruption("truncated header: " + path);
-  }
-  if (version == kVersionLegacy) return LoadV1(in, path);
-  if (version == kVersionRawCsr) return LoadV2(in, path);
-  if (version == kVersion) return LoadV3(in, path);
-  return Status::Corruption(
-      StrFormat("unsupported snapshot version %u: %s", version,
-                path.c_str()));
-}
-
 Result<SnapshotMeta> WalkIndexSerializer::Inspect(const std::string& path,
                                                   bool verify) {
   std::ifstream in(path, std::ios::binary);
@@ -448,119 +305,20 @@ Result<SnapshotMeta> WalkIndexSerializer::Inspect(const std::string& path,
   in.seekg(0, std::ios::end);
   const int64_t file_bytes = static_cast<int64_t>(in.tellg());
   in.seekg(0, std::ios::beg);
-
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption("bad magic: " + path);
-  }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version)) {
-    return Status::Corruption("truncated header: " + path);
-  }
+  RWDOM_ASSIGN_OR_RETURN(Header header, ReadHeader(in, path));
 
   SnapshotMeta meta;
-  meta.version = version;
-  meta.file_bytes = file_bytes;
-
-  if (version == kVersionLegacy) {
-    if (verify) {
-      return Status::InvalidArgument(
-          "version 1 snapshot has no checksums to verify "
-          "(re-save to upgrade): " +
-          path);
-    }
-    int32_t replicates = 0;
-    if (!ReadPod(in, &meta.num_nodes) || !ReadPod(in, &meta.length) ||
-        !ReadPod(in, &replicates)) {
-      return Status::Corruption("truncated header: " + path);
-    }
-    if (meta.num_nodes < 0 || meta.length < 0 || replicates < 1) {
-      return Status::Corruption("implausible header fields: " + path);
-    }
-    meta.num_replicates = replicates;
-    const std::streamsize offsets_bytes = static_cast<std::streamsize>(
-        (static_cast<int64_t>(meta.num_nodes) + 1) *
-        static_cast<int64_t>(sizeof(int64_t)));
-    for (int32_t i = 0; i < replicates; ++i) {
-      in.seekg(offsets_bytes, std::ios::cur);
-      int64_t entry_count = 0;
-      if (!ReadPod(in, &entry_count) || entry_count < 0) {
-        return Status::Corruption("truncated replicate: " + path);
-      }
-      meta.total_entries += entry_count;
-      in.seekg(static_cast<std::streamsize>(
-                   entry_count *
-                   static_cast<int64_t>(sizeof(InvertedWalkIndex::Entry))),
-               std::ios::cur);
-      // seekg past EOF only fails on the next read; probe now so a
-      // truncated final section is reported as such.
-      in.peek();
-      if (in.fail() && !(in.eof() && i + 1 == replicates)) {
-        return Status::Corruption("truncated entries: " + path);
-      }
-    }
-    return meta;
-  }
-
-  if (version != kVersionRawCsr && version != kVersion) {
-    return Status::Corruption(
-        StrFormat("unsupported snapshot version %u: %s", version,
-                  path.c_str()));
-  }
-
-  RWDOM_ASSIGN_OR_RETURN(HeaderV2 header, ReadHeaderV2(in, path));
+  meta.version = kVersion;
   meta.key = header.key;
   meta.num_nodes = header.num_nodes;
   meta.length = header.key.length;
   meta.num_replicates = header.num_replicates;
+  meta.file_bytes = file_bytes;
 
   const int64_t offsets_count = static_cast<int64_t>(meta.num_nodes) + 1;
 
-  if (version == kVersionRawCsr) {
-    const uint64_t max_entries = static_cast<uint64_t>(meta.num_nodes) *
-                                 static_cast<uint64_t>(meta.length);
-    std::vector<char> buffer;
-    for (int32_t i = 0; i < header.num_replicates; ++i) {
-      uint64_t entry_count = 0;
-      uint64_t section_checksum = 0;
-      if (!ReadPod(in, &entry_count) || !ReadPod(in, &section_checksum)) {
-        return Status::Corruption("truncated replicate: " + path);
-      }
-      if (entry_count > max_entries) {
-        return Status::Corruption("implausible entry count: " + path);
-      }
-      const int64_t section_bytes =
-          offsets_count * static_cast<int64_t>(sizeof(int64_t)) +
-          static_cast<int64_t>(entry_count) *
-              static_cast<int64_t>(sizeof(InvertedWalkIndex::Entry));
-      meta.total_entries += static_cast<int64_t>(entry_count);
-      if (verify) {
-        buffer.resize(static_cast<size_t>(section_bytes));
-        in.read(buffer.data(), static_cast<std::streamsize>(section_bytes));
-        if (!in.good() && section_bytes > 0) {
-          return Status::Corruption("truncated entries: " + path);
-        }
-        if (FingerprintBytes(buffer.data(), buffer.size()) !=
-            section_checksum) {
-          return Status::Corruption("section checksum mismatch: " + path);
-        }
-      } else {
-        in.seekg(static_cast<std::streamsize>(section_bytes), std::ios::cur);
-        in.peek();
-        if (in.fail() && !(in.eof() && i + 1 == header.num_replicates)) {
-          return Status::Corruption("truncated entries: " + path);
-        }
-      }
-    }
-    if (verify) {
-      in.peek();
-      if (!in.eof()) return Status::Corruption("trailing bytes: " + path);
-    }
-    return meta;
-  }
-
-  // v3: u32 offset arrays, then the posting stream in checksummed blocks.
+  // Per replicate: u32 offset arrays, then the posting stream in
+  // checksummed blocks.
   std::vector<uint32_t> offsets;
   std::vector<char> buffer;
   for (int32_t i = 0; i < header.num_replicates; ++i) {
@@ -606,11 +364,13 @@ Result<SnapshotMeta> WalkIndexSerializer::Inspect(const std::string& path,
       const int64_t body_bytes =
           offsets_bytes + static_cast<int64_t>(num_blocks) * 8 +
           static_cast<int64_t>(section.data_bytes);
-      in.seekg(static_cast<std::streamsize>(body_bytes), std::ios::cur);
-      in.peek();
-      if (in.fail() && !(in.eof() && i + 1 == header.num_replicates)) {
-        return Status::Corruption("truncated entries: " + path);
+      // Seeking past EOF succeeds silently, so the body's declared end is
+      // checked against the measured file size instead.
+      const int64_t body_end = static_cast<int64_t>(in.tellg()) + body_bytes;
+      if (body_end > file_bytes) {
+        return Status::Corruption("truncated replicate: " + path);
       }
+      in.seekg(static_cast<std::streamsize>(body_end));
     }
   }
   if (verify) {

@@ -40,13 +40,9 @@
 // weights, exact byte consumption) — a rejected file is never partially
 // adopted.
 //
-// Version 2 files (raw CSR sections: i64 offsets + 8-byte entries under
-// per-replicate section checksums) and version 1 files (the
-// pre-ArtifactKey `--save_index` format: bare header, no key, no
-// checksums) still load; legacy postings are transparently recompressed
-// into the v3 in-memory layout (logged, never a client error). Load
-// reports v1 files with no key, and the artifact cache rejects those as
-// unverifiable rather than trusting them.
+// Version 3 is the only format read. Any other version is a Corruption
+// naming the version; the artifact cache logs it as a rejection and
+// rebuilds the index on demand.
 //
 // Atomic publish rule: Save writes to `path + ".tmp"` and renames into
 // place, so a crash mid-checkpoint leaves at worst a stale temp file —
@@ -55,8 +51,6 @@
 #define RWDOM_PERSIST_SNAPSHOT_H_
 
 #include <cstdint>
-#include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "index/inverted_walk_index.h"
@@ -66,19 +60,17 @@
 namespace rwdom {
 
 /// A snapshot read back from disk: the index plus the identity it was
-/// saved under. `key` is empty for version-1 files, which predate
-/// ArtifactKey.
+/// saved under.
 struct LoadedSnapshot {
   InvertedWalkIndex index;
-  std::optional<ArtifactKey> key;
-  uint32_t version = 0;
+  ArtifactKey key;
 };
 
 /// Header-level description of a snapshot file, for `rwdom cache ls` and
 /// `verify` — everything except the postings themselves.
 struct SnapshotMeta {
   uint32_t version = 0;
-  std::optional<ArtifactKey> key;  ///< Empty for version-1 files.
+  ArtifactKey key;
   NodeId num_nodes = 0;
   int32_t length = 0;
   int32_t num_replicates = 0;
@@ -94,30 +86,17 @@ class WalkIndexSerializer {
   static Status Save(const InvertedWalkIndex& index, const ArtifactKey& key,
                      const std::string& path);
 
-  /// Loads a snapshot written by Save (v3) or by the legacy v2/v1
-  /// writers (recompressing their raw CSR postings). Validates magic,
-  /// version, checksums (v2/v3) and structural invariants (monotone
-  /// offsets, in-range ids/weights, exact varint consumption); returns
-  /// Corruption on any mismatch — a rejected file is never partially
-  /// adopted.
+  /// Loads a snapshot written by Save. Validates magic, version,
+  /// checksums and structural invariants (monotone offsets, in-range
+  /// ids/weights, exact varint consumption); returns Corruption on any
+  /// mismatch — a rejected file is never partially adopted.
   static Result<LoadedSnapshot> Load(const std::string& path);
 
-  /// Reads the header only (all versions). With `verify` set, also
-  /// streams the body to recompute v3 per-block (or v2 per-section)
-  /// checksums — the `rwdom cache verify` deep check (v1 files fail
-  /// verify: nothing to check against).
+  /// Reads the header and skims the replicate preambles, checking that
+  /// the file is long enough to hold every body they declare. With
+  /// `verify` set, also streams the body to recompute every per-block
+  /// checksum — the `rwdom cache verify` deep check.
   static Result<SnapshotMeta> Inspect(const std::string& path, bool verify);
-
- private:
-  // Per-version body readers (the magic + version are already consumed).
-  // Members rather than file-local helpers because they exercise the
-  // friend grant: InvertedWalkIndex's storage and private constructor.
-  static Result<LoadedSnapshot> LoadV1(std::ifstream& in,
-                                       const std::string& path);
-  static Result<LoadedSnapshot> LoadV2(std::ifstream& in,
-                                       const std::string& path);
-  static Result<LoadedSnapshot> LoadV3(std::ifstream& in,
-                                       const std::string& path);
 };
 
 }  // namespace rwdom

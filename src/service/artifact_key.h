@@ -34,7 +34,7 @@ struct ArtifactKey {
   int32_t num_samples = 100;  ///< R, replicates per node.
   uint64_t seed = 42;         ///< Master walk seed.
   /// Content fingerprint of the substrate the index was built over
-  /// (SubstrateFingerprint); 0 only for legacy keys of unknown origin.
+  /// (SubstrateFingerprint); 0 when unset.
   uint64_t substrate_fingerprint = 0;
 
   friend auto operator<=>(const ArtifactKey&, const ArtifactKey&) = default;

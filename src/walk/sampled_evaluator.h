@@ -37,8 +37,8 @@ struct PerNodeEstimates {
 /// Stateless estimator configuration; walks come from the caller's
 /// WalkSource so randomness and replay are under caller control.
 ///
-/// When the source has deterministic streams (RandomWalkSource,
-/// WeightedWalkSource), per-node walk blocks are drawn from counter-derived
+/// When the source has deterministic streams (TransitionWalkSource,
+/// RandomWalkSource), per-node walk blocks are drawn from counter-derived
 /// streams in parallel and reduced in node order, so the estimate is
 /// bit-identical for any thread count and independent of call order
 /// (common random numbers across repeated evaluations). Shared-state

@@ -10,10 +10,7 @@
 // Sink semantics (isolated nodes in the undirected substrate, out-degree-0
 // nodes in digraphs): a non-member sink never hits S, so h^l = l and
 // p^l = 0. One evaluation costs O((n + arcs) * L) time and O(n) space.
-//
-// HittingTimeDp / HitProbabilityDp (unweighted) and WeightedDp (wgraph) are
-// thin adapters over this engine; there is deliberately no second DP
-// implementation in the tree.
+// There is deliberately no second DP implementation in the tree.
 #ifndef RWDOM_WALK_TRANSITION_DP_H_
 #define RWDOM_WALK_TRANSITION_DP_H_
 

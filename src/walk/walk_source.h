@@ -5,7 +5,7 @@
 // fixed walks — e.g. the exact walks of the paper's Example 3.1 — instead of
 // drawing random ones. The one real sampler is TransitionWalkSource, which
 // walks any TransitionModel (uniform-neighbor or weighted alias-table);
-// RandomWalkSource and WeightedWalkSource are thin adapters over it.
+// RandomWalkSource is a thin unweighted adapter over it.
 #ifndef RWDOM_WALK_WALK_SOURCE_H_
 #define RWDOM_WALK_WALK_SOURCE_H_
 

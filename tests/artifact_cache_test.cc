@@ -1,8 +1,9 @@
 // End-to-end warm-start contract: a cache_dir checkpointed by one
 // QueryContext warms the next one (index_recovered, zero builds, the
 // same bits), and every corruption mode — truncation, flipped bytes,
-// foreign substrate, interrupted-checkpoint leftovers — degrades to a
-// counted rejection plus rebuild, never an error a caller sees.
+// foreign substrate, unsupported format versions, interrupted-checkpoint
+// leftovers — degrades to a counted rejection plus rebuild, never an
+// error a caller sees.
 #include "persist/artifact_cache.h"
 
 #include <gtest/gtest.h>
@@ -191,36 +192,37 @@ TEST(ArtifactCacheTest, CorruptTruncatedAndTempFilesAllDegradeToRebuild) {
   EXPECT_EQ(warm.index_builds(), 1);
 }
 
-TEST(ArtifactCacheTest, LegacyV1SnapshotIsRejectedForLackingAKey) {
-  const std::string dir = FreshDir("rwdom_cache_v1");
+TEST(ArtifactCacheTest, LegacyV1AndV2SnapshotsAreRejectedAndRebuilt) {
+  const std::string dir = FreshDir("rwdom_cache_legacy");
   ArtifactCache cache(dir);
   ASSERT_TRUE(cache.EnsureDir().ok());
-  {
-    // A minimal valid v1 file (see snapshot_test.cc for the layout).
-    std::ofstream out(dir + "/idx-legacy.rwidx", std::ios::binary);
-    auto pod = [&out](const auto& value) {
-      out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-    };
+  // Earlier releases' formats: only the version field matters, so each
+  // file is the magic, its version and a zeroed header body.
+  for (uint32_t version : {1u, 2u}) {
+    std::ofstream out(dir + "/idx-v" + std::to_string(version) + ".rwidx",
+                      std::ios::binary);
     out.write("RWDX", 4);
-    pod(uint32_t{1});
-    pod(int32_t{2});
-    pod(int32_t{3});
-    pod(int32_t{1});
-    for (int64_t offset : {int64_t{0}, int64_t{1}, int64_t{2}}) pod(offset);
-    pod(int64_t{2});
-    pod(int32_t{1});
-    pod(int32_t{1});
-    pod(int32_t{0});
-    pod(int32_t{2});
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    const std::string body(40, '\0');
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
   }
   QueryContext context(StarSubstrate());
   auto recovered = cache.RecoverInto(context);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ(*recovered, 0);
   const PersistenceInfo info = context.persistence();
-  ASSERT_EQ(info.rejections.size(), 1u);
-  EXPECT_NE(info.rejections[0].find("no artifact key"), std::string::npos)
+  EXPECT_EQ(info.snapshots_rejected, 2);
+  ASSERT_EQ(info.rejections.size(), 2u);
+  EXPECT_NE(info.rejections[0].find("unsupported snapshot version 1"),
+            std::string::npos)
       << info.rejections[0];
+  EXPECT_NE(info.rejections[1].find("unsupported snapshot version 2"),
+            std::string::npos)
+      << info.rejections[1];
+
+  // A rejected file costs warmth, never an answer: the engine rebuilds.
+  EXPECT_NE(*context.GetIndex(context.MakeKey(3, 20, 42)), nullptr);
+  EXPECT_EQ(context.index_builds(), 1);
 }
 
 TEST(ArtifactCacheTest, AdoptIndexRefusesForeignFingerprints) {

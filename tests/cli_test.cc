@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/json.h"
 #include "util/parallel.h"
@@ -224,6 +226,66 @@ TEST_F(CliFileTest, CacheVerifyFailsOnAFlippedByte) {
   auto [status, out] = RunCli({"cache", "verify", dir_flag.c_str()});
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
   EXPECT_NE(out.find("FAIL"), std::string::npos) << out;
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliFileTest, CacheLsAndVerifyFlagLegacyAndTruncatedSnapshots) {
+  std::string flag = GraphFlag();
+  const std::string dir = testing::TempDir() + "/rwdom_cli_cache_legacy";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string save_flag = "--save_index=" + dir + "/good.rwidx";
+  std::string dir_flag = "--cache_dir=" + dir;
+  ASSERT_TRUE(RunCli({"select", flag.c_str(), "--algorithm=ApproxF2",
+                      "--k=1", "--L=3", "--R=10", save_flag.c_str()})
+                  .first.ok());
+  {
+    // The good snapshot minus its last byte: the cut falls inside the
+    // final replicate, which the cheap `ls` skim seeks over.
+    std::ifstream in(dir + "/good.rwidx", std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    std::ofstream out(dir + "/cut.rwidx", std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 1));
+  }
+  // Earlier releases' v1/v2 formats: the version field alone rejects them.
+  for (uint32_t version : {1u, 2u}) {
+    std::ofstream out(dir + "/old-v" + std::to_string(version) + ".rwidx",
+                      std::ios::binary);
+    out.write("RWDX", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    const std::string body(40, '\0');
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  }
+
+  auto [ls_status, ls_out] = RunCli({"cache", "ls", dir_flag.c_str()});
+  ASSERT_TRUE(ls_status.ok()) << ls_status;
+  EXPECT_NE(ls_out.find("good.rwidx  v3  L=3,R=10"), std::string::npos)
+      << ls_out;
+  EXPECT_NE(ls_out.find("cut.rwidx  UNREADABLE: truncated"),
+            std::string::npos)
+      << ls_out;
+  EXPECT_NE(ls_out.find("old-v1.rwidx  UNREADABLE: unsupported snapshot "
+                        "version 1"),
+            std::string::npos)
+      << ls_out;
+  EXPECT_NE(ls_out.find("old-v2.rwidx  UNREADABLE: unsupported snapshot "
+                        "version 2"),
+            std::string::npos)
+      << ls_out;
+
+  auto [verify_status, verify_out] =
+      RunCli({"cache", "verify", dir_flag.c_str()});
+  EXPECT_EQ(verify_status.code(), StatusCode::kCorruption);
+  EXPECT_NE(verify_out.find("good.rwidx  OK"), std::string::npos)
+      << verify_out;
+  EXPECT_NE(verify_out.find("old-v1.rwidx  FAIL: unsupported snapshot "
+                            "version 1"),
+            std::string::npos)
+      << verify_out;
+  EXPECT_NE(verify_out.find("verified 4 snapshot(s), 3 failed"),
+            std::string::npos)
+      << verify_out;
   std::filesystem::remove_all(dir);
 }
 

@@ -14,11 +14,10 @@
 #include "graph/generators.h"
 #include "index/gain_state.h"
 #include "util/rng.h"
-#include "walk/hit_probability_dp.h"
-#include "walk/hitting_time_dp.h"
 #include "walk/sampled_evaluator.h"
-#include "wgraph/weighted_dp.h"
-#include "wgraph/weighted_select.h"
+#include "walk/transition_dp.h"
+#include "wgraph/weighted_graph.h"
+#include "wgraph/weighted_transition_model.h"
 
 namespace rwdom {
 namespace {
@@ -45,15 +44,14 @@ TEST_P(ConformanceTest, SamplingConvergesToDpOnBothObjectives) {
   const int32_t length = 5;
   NodeFlagSet s(g.num_nodes(), {1, 17, 42});
 
-  HittingTimeDp hitting(&g, length);
-  HitProbabilityDp probability(&g, length);
+  TransitionDp dp(&g, length);
   RandomWalkSource source(&g, seed * 13 + 1);
   SampledEvaluator evaluator(length, /*num_samples=*/2500);
   SampledObjectives sampled = evaluator.Evaluate(s, &source);
 
-  EXPECT_NEAR(sampled.f1 / hitting.F1(s), 1.0, 0.03)
+  EXPECT_NEAR(sampled.f1 / dp.F1(s), 1.0, 0.03)
       << "family " << family;
-  EXPECT_NEAR(sampled.f2 / probability.F2(s), 1.0, 0.03)
+  EXPECT_NEAR(sampled.f2 / dp.F2(s), 1.0, 0.03)
       << "family " << family;
 }
 
@@ -66,8 +64,7 @@ TEST_P(ConformanceTest, IndexEstimateConvergesToDp) {
   RandomWalkSource source(&g, seed * 29 + 5);
   InvertedWalkIndex index = InvertedWalkIndex::Build(length, 800, &source);
 
-  HittingTimeDp hitting(&g, length);
-  HitProbabilityDp probability(&g, length);
+  TransitionDp dp(&g, length);
   NodeFlagSet s(g.num_nodes(), {3, 55});
 
   GainState p1(&index, Problem::kHittingTime);
@@ -76,8 +73,8 @@ TEST_P(ConformanceTest, IndexEstimateConvergesToDp) {
     p1.Commit(u);
     p2.Commit(u);
   }
-  EXPECT_NEAR(p1.EstimatedObjective() / hitting.F1(s), 1.0, 0.05);
-  EXPECT_NEAR(p2.EstimatedObjective() / probability.F2(s), 1.0, 0.05);
+  EXPECT_NEAR(p1.EstimatedObjective() / dp.F1(s), 1.0, 0.05);
+  EXPECT_NEAR(p2.EstimatedObjective() / dp.F2(s), 1.0, 0.05);
 }
 
 TEST_P(ConformanceTest, ApproxSelectionScoresLikeDpSelection) {
@@ -110,11 +107,12 @@ TEST_P(ConformanceTest, WeightedPipelineWithUnitWeightsMatchesUnweighted) {
   const auto [family, seed] = GetParam();
   Graph g = MakeFamilyGraph(family, seed);
   WeightedGraph wg = WeightedGraph::FromUnweighted(g);
+  WeightedTransitionModel model(&wg);
   const int32_t length = 4;
   for (Problem problem :
        {Problem::kHittingTime, Problem::kDominatedCount}) {
     DpGreedy unweighted(&g, problem, length);
-    WeightedDpGreedy weighted(&wg, problem, length);
+    DpGreedy weighted(&model, problem, length);
     EXPECT_EQ(unweighted.Select(5).selected, weighted.Select(5).selected)
         << ProblemName(problem) << " family " << family;
   }

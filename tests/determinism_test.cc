@@ -9,6 +9,7 @@
 #include "core/approx_greedy.h"
 #include "core/edge_domination.h"
 #include "core/sampling_greedy.h"
+#include "core/selector_registry.h"
 #include "eval/metrics.h"
 #include "graph/generators.h"
 #include "graph/node_set.h"
@@ -16,10 +17,9 @@
 #include "index/inverted_walk_index.h"
 #include "util/parallel.h"
 #include "walk/sampled_evaluator.h"
+#include "walk/walk_source.h"
 #include "wgraph/substrate.h"
-#include "wgraph/weighted_select.h"
 #include "wgraph/weighted_transition_model.h"
-#include "wgraph/weighted_walk_source.h"
 
 namespace rwdom {
 namespace {
@@ -137,20 +137,20 @@ TEST(DeterminismTest, WeightedApproxGreedyIsThreadCountInvariant) {
   auto graph = GenerateBarabasiAlbert(120, 3, 51);
   ASSERT_TRUE(graph.ok());
   WeightedGraph wg = WeightedGraph::FromUnweighted(*graph);
-  for (Problem problem :
-       {Problem::kHittingTime, Problem::kDominatedCount}) {
+  WeightedTransitionModel model(&wg);
+  for (const char* name : {"ApproxF1", "ApproxF2"}) {
     auto select = [&] {
-      WeightedApproxGreedy greedy(
-          &wg, problem,
-          WeightedApproxGreedy::Options{
-              .length = 4, .num_replicates = 25, .seed = 9, .lazy = true});
-      SelectionResult result = greedy.Select(6);
+      auto greedy = MakeSelector(
+          name, &model,
+          SelectorParams{
+              .length = 4, .num_samples = 25, .seed = 9, .lazy = true});
+      SelectionResult result = (*greedy)->Select(6);
       return std::make_pair(result.selected, result.objective_estimate);
     };
     const auto baseline = WithThreads(1, select);
     for (int threads : kThreadCounts) {
       EXPECT_EQ(WithThreads(threads, select), baseline)
-          << ProblemName(problem) << " threads=" << threads;
+          << name << " threads=" << threads;
     }
   }
 }
@@ -159,8 +159,9 @@ TEST(DeterminismTest, WeightedWalkStreamsAreCallOrderIndependent) {
   auto graph = GenerateBarabasiAlbert(40, 2, 61);
   ASSERT_TRUE(graph.ok());
   WeightedGraph wg = WeightedGraph::FromUnweighted(*graph);
-  WeightedWalkSource a(&wg, 17);
-  WeightedWalkSource b(&wg, 17);
+  WeightedTransitionModel model(&wg);
+  TransitionWalkSource a(&model, 17);
+  TransitionWalkSource b(&model, 17);
   ASSERT_TRUE(a.has_deterministic_streams());
   // Drain unrelated walks from `b` first: stream walks must not depend on
   // shared-RNG state or call history.

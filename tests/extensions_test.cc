@@ -1,37 +1,14 @@
-// Tests for the paper-§5 extensions: the λ-blend combined objective driving
-// a greedy, minimum-seed α-coverage, and edge-traversal domination.
+// Tests for the paper-§5 extensions: minimum-seed α-coverage and
+// edge-traversal domination.
 #include <gtest/gtest.h>
 
-#include "core/combined_objective.h"
 #include "core/edge_domination.h"
-#include "core/exact_objective.h"
-#include "core/greedy_selector.h"
 #include "core/min_seed_cover.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 
 namespace rwdom {
 namespace {
-
-TEST(CombinedGreedyTest, BlendSelectsReasonableSeeds) {
-  Graph g = GenerateStar(10);
-  auto blend = MakeLambdaBlendObjective(&g, 4, 0.5);
-  GreedySelector greedy(blend.get(), "Blend");
-  SelectionResult result = greedy.Select(1);
-  EXPECT_EQ(result.selected[0], 0);  // Hub optimizes both components.
-}
-
-TEST(CombinedGreedyTest, EndpointsMatchPureObjectives) {
-  auto graph = GenerateBarabasiAlbert(40, 2, 131);
-  ASSERT_TRUE(graph.ok());
-  const int32_t length = 4;
-  auto blend1 = MakeLambdaBlendObjective(&*graph, length, 1.0);
-  GreedySelector blend_greedy(blend1.get(), "Blend1");
-  ExactObjective f1(&*graph, Problem::kHittingTime, length);
-  GreedySelector f1_greedy(&f1, "F1");
-  // λ = 1 is F1/L: same argmax sequence as pure F1.
-  EXPECT_EQ(blend_greedy.Select(5).selected, f1_greedy.Select(5).selected);
-}
 
 TEST(MinSeedCoverTest, StarNeedsOneSeed) {
   Graph g = GenerateStar(12);

@@ -1,4 +1,4 @@
-#include "walk/hit_probability_dp.h"
+#include "walk/transition_dp.h"
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@ double BruteForceHitProbability(const Graph& g, NodeId u, const NodeFlagSet& s,
 
 TEST(HitProbabilityDpTest, TwoNodePathAlwaysHits) {
   Graph g = GeneratePath(2);
-  HitProbabilityDp dp(&g, 1);
+  TransitionDp dp(&g, 1);
   auto p = dp.HitProbabilitiesToNode(1);
   EXPECT_DOUBLE_EQ(p[0], 1.0);
   EXPECT_DOUBLE_EQ(p[1], 1.0);
@@ -33,7 +33,7 @@ TEST(HitProbabilityDpTest, TwoNodePathAlwaysHits) {
 
 TEST(HitProbabilityDpTest, ThreeNodePathHandComputed) {
   Graph g = GeneratePath(3);
-  HitProbabilityDp dp(&g, 2);
+  TransitionDp dp(&g, 2);
   auto p = dp.HitProbabilitiesToNode(2);
   EXPECT_DOUBLE_EQ(p[0], 0.5);  // Forced to 1, then coin flip.
   EXPECT_DOUBLE_EQ(p[1], 0.5);  // Coin flip at the first step.
@@ -41,7 +41,7 @@ TEST(HitProbabilityDpTest, ThreeNodePathHandComputed) {
 
 TEST(HitProbabilityDpTest, CliqueSingleStep) {
   Graph g = GenerateComplete(3);
-  HitProbabilityDp dp(&g, 1);
+  TransitionDp dp(&g, 1);
   auto p = dp.HitProbabilitiesToNode(2);
   EXPECT_DOUBLE_EQ(p[0], 0.5);
   EXPECT_DOUBLE_EQ(p[1], 0.5);
@@ -49,7 +49,7 @@ TEST(HitProbabilityDpTest, CliqueSingleStep) {
 
 TEST(HitProbabilityDpTest, EmptySetIsZeroAndF2Zero) {
   Graph g = GenerateCycle(6);
-  HitProbabilityDp dp(&g, 4);
+  TransitionDp dp(&g, 4);
   NodeFlagSet empty(6);
   auto p = dp.HitProbabilities(empty);
   for (double value : p) EXPECT_DOUBLE_EQ(value, 0.0);
@@ -58,14 +58,14 @@ TEST(HitProbabilityDpTest, EmptySetIsZeroAndF2Zero) {
 
 TEST(HitProbabilityDpTest, FullSetDominatesEverything) {
   Graph g = GenerateCycle(4);
-  HitProbabilityDp dp(&g, 3);
+  TransitionDp dp(&g, 3);
   NodeFlagSet all(4, {0, 1, 2, 3});
   EXPECT_DOUBLE_EQ(dp.F2(all), 4.0);
 }
 
 TEST(HitProbabilityDpTest, ZeroLengthIsMembershipIndicator) {
   Graph g = GeneratePath(4);
-  HitProbabilityDp dp(&g, 0);
+  TransitionDp dp(&g, 0);
   NodeFlagSet s(4, {1});
   auto p = dp.HitProbabilities(s);
   EXPECT_DOUBLE_EQ(p[0], 0.0);
@@ -77,7 +77,7 @@ TEST(HitProbabilityDpTest, IsolatedNodeNeverHits) {
   GraphBuilder builder(3);
   builder.AddEdge(0, 1);
   Graph g = std::move(builder).BuildOrDie();
-  HitProbabilityDp dp(&g, 5);
+  TransitionDp dp(&g, 5);
   NodeFlagSet s(3, {0});
   auto p = dp.HitProbabilities(s);
   EXPECT_DOUBLE_EQ(p[2], 0.0);
@@ -87,7 +87,7 @@ TEST(HitProbabilityDpTest, IsolatedNodeNeverHits) {
 TEST(HitProbabilityDpTest, ProbabilitiesAreProbabilities) {
   auto graph = GenerateBarabasiAlbert(50, 3, 41);
   ASSERT_TRUE(graph.ok());
-  HitProbabilityDp dp(&*graph, 6);
+  TransitionDp dp(&*graph, 6);
   NodeFlagSet s(50, {5, 25});
   for (double value : dp.HitProbabilities(s)) {
     EXPECT_GE(value, 0.0);
@@ -100,7 +100,7 @@ TEST(HitProbabilityDpTest, MonotoneNondecreasingInL) {
   NodeFlagSet s(8, {7});
   std::vector<double> previous(8, 0.0);
   for (int32_t length = 0; length <= 6; ++length) {
-    HitProbabilityDp dp(&g, length);
+    TransitionDp dp(&g, length);
     auto p = dp.HitProbabilities(s);
     for (NodeId u = 0; u < 8; ++u) {
       EXPECT_GE(p[u] + 1e-12, previous[u]);
@@ -112,7 +112,7 @@ TEST(HitProbabilityDpTest, MonotoneNondecreasingInL) {
 TEST(HitProbabilityDpTest, SupersetNeverLess) {
   auto graph = GenerateBarabasiAlbert(40, 2, 43);
   ASSERT_TRUE(graph.ok());
-  HitProbabilityDp dp(&*graph, 5);
+  TransitionDp dp(&*graph, 5);
   NodeFlagSet small(40, {4});
   NodeFlagSet large(40, {4, 22});
   auto p_small = dp.HitProbabilities(small);
@@ -125,7 +125,7 @@ TEST(HitProbabilityDpTest, SupersetNeverLess) {
 TEST(HitProbabilityDpTest, PlusVariantMatchesMaterializedUnion) {
   auto graph = GenerateBarabasiAlbert(30, 2, 45);
   ASSERT_TRUE(graph.ok());
-  HitProbabilityDp dp(&*graph, 4);
+  TransitionDp dp(&*graph, 4);
   NodeFlagSet s(30, {6});
   NodeFlagSet s_union(30, {6, 13});
   auto via_plus = dp.HitProbabilitiesPlus(s, 13);
@@ -159,7 +159,7 @@ TEST_P(HitProbabilityBruteForceTest, DpMatchesDefinition) {
       g = GenerateTwoCliquesBridge(3);
   }
   NodeFlagSet s(g.num_nodes(), {1});
-  HitProbabilityDp dp(&g, length);
+  TransitionDp dp(&g, length);
   auto p = dp.HitProbabilities(s);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(p[u], BruteForceHitProbability(g, u, s, length), 1e-9)

@@ -1,4 +1,4 @@
-#include "walk/hitting_time_dp.h"
+#include "walk/transition_dp.h"
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,7 @@ double BruteForceHittingTime(const Graph& g, NodeId u, const NodeFlagSet& s,
 
 TEST(HittingTimeDpTest, TwoNodePath) {
   Graph g = GeneratePath(2);
-  HittingTimeDp dp(&g, 3);
+  TransitionDp dp(&g, 3);
   auto h = dp.HittingTimesToNode(1);
   EXPECT_DOUBLE_EQ(h[0], 1.0);  // One forced step.
   EXPECT_DOUBLE_EQ(h[1], 0.0);
@@ -37,7 +37,7 @@ TEST(HittingTimeDpTest, TwoNodePath) {
 
 TEST(HittingTimeDpTest, ThreeNodePathHandComputed) {
   Graph g = GeneratePath(3);
-  HittingTimeDp dp(&g, 2);
+  TransitionDp dp(&g, 2);
   auto h = dp.HittingTimesToNode(2);
   // Derivation in DESIGN/tests: h^2(1->2) = 1.5, h^2(0->2) = 2.
   EXPECT_DOUBLE_EQ(h[1], 1.5);
@@ -47,7 +47,7 @@ TEST(HittingTimeDpTest, ThreeNodePathHandComputed) {
 
 TEST(HittingTimeDpTest, StarHubTargetIsOneStep) {
   Graph g = GenerateStar(5);
-  HittingTimeDp dp(&g, 4);
+  TransitionDp dp(&g, 4);
   NodeFlagSet s(5, {0});
   auto h = dp.HittingTimesToSet(s);
   for (NodeId leaf = 1; leaf < 5; ++leaf) EXPECT_DOUBLE_EQ(h[leaf], 1.0);
@@ -58,7 +58,7 @@ TEST(HittingTimeDpTest, CliqueTruncationAtLengthOne) {
   // In K3 with L = 1, every non-target takes exactly one step: T = 1
   // whether or not it lands on the target.
   Graph g = GenerateComplete(3);
-  HittingTimeDp dp(&g, 1);
+  TransitionDp dp(&g, 1);
   auto h = dp.HittingTimesToNode(2);
   EXPECT_DOUBLE_EQ(h[0], 1.0);
   EXPECT_DOUBLE_EQ(h[1], 1.0);
@@ -66,7 +66,7 @@ TEST(HittingTimeDpTest, CliqueTruncationAtLengthOne) {
 
 TEST(HittingTimeDpTest, EmptySetGivesLEverywhere) {
   Graph g = GenerateCycle(5);
-  HittingTimeDp dp(&g, 7);
+  TransitionDp dp(&g, 7);
   NodeFlagSet empty(5);
   auto h = dp.HittingTimesToSet(empty);
   for (double value : h) EXPECT_DOUBLE_EQ(value, 7.0);
@@ -75,7 +75,7 @@ TEST(HittingTimeDpTest, EmptySetGivesLEverywhere) {
 
 TEST(HittingTimeDpTest, ZeroLengthIsZero) {
   Graph g = GeneratePath(4);
-  HittingTimeDp dp(&g, 0);
+  TransitionDp dp(&g, 0);
   NodeFlagSet s(4, {3});
   auto h = dp.HittingTimesToSet(s);
   for (double value : h) EXPECT_DOUBLE_EQ(value, 0.0);
@@ -85,7 +85,7 @@ TEST(HittingTimeDpTest, IsolatedNodeNeverHits) {
   GraphBuilder builder(3);
   builder.AddEdge(0, 1);
   Graph g = std::move(builder).BuildOrDie();
-  HittingTimeDp dp(&g, 6);
+  TransitionDp dp(&g, 6);
   NodeFlagSet s(3, {0});
   auto h = dp.HittingTimesToSet(s);
   EXPECT_DOUBLE_EQ(h[2], 6.0);  // Isolated: truncated at L.
@@ -96,7 +96,7 @@ TEST(HittingTimeDpTest, BoundedByL) {
   auto graph = GenerateBarabasiAlbert(60, 2, 31);
   ASSERT_TRUE(graph.ok());
   for (int32_t length : {1, 3, 8}) {
-    HittingTimeDp dp(&*graph, length);
+    TransitionDp dp(&*graph, length);
     NodeFlagSet s(60, {0, 17, 42});
     for (double value : dp.HittingTimesToSet(s)) {
       EXPECT_GE(value, 0.0);
@@ -110,7 +110,7 @@ TEST(HittingTimeDpTest, MonotoneNondecreasingInL) {
   NodeFlagSet s(8, {5});
   std::vector<double> previous(8, 0.0);
   for (int32_t length = 0; length <= 6; ++length) {
-    HittingTimeDp dp(&g, length);
+    TransitionDp dp(&g, length);
     auto h = dp.HittingTimesToSet(s);
     for (NodeId u = 0; u < 8; ++u) {
       EXPECT_GE(h[u] + 1e-12, previous[u])
@@ -124,7 +124,7 @@ TEST(HittingTimeDpTest, SupersetNeverSlower) {
   // Eq. (14): S subset of T implies h_uT <= h_uS for all u outside T.
   auto graph = GenerateBarabasiAlbert(40, 2, 33);
   ASSERT_TRUE(graph.ok());
-  HittingTimeDp dp(&*graph, 5);
+  TransitionDp dp(&*graph, 5);
   NodeFlagSet small(40, {3, 9});
   NodeFlagSet large(40, {3, 9, 20, 31});
   auto h_small = dp.HittingTimesToSet(small);
@@ -138,7 +138,7 @@ TEST(HittingTimeDpTest, SupersetNeverSlower) {
 TEST(HittingTimeDpTest, PlusVariantMatchesMaterializedUnion) {
   auto graph = GenerateBarabasiAlbert(30, 2, 35);
   ASSERT_TRUE(graph.ok());
-  HittingTimeDp dp(&*graph, 4);
+  TransitionDp dp(&*graph, 4);
   NodeFlagSet s(30, {2, 11});
   NodeFlagSet s_union(30, {2, 11, 17});
   auto via_plus = dp.HittingTimesToSetPlus(s, 17);
@@ -174,7 +174,7 @@ TEST_P(HittingTimeBruteForceTest, DpMatchesDefinition) {
       g = GenerateTwoCliquesBridge(3);
   }
   NodeFlagSet s(g.num_nodes(), {0, g.num_nodes() - 1});
-  HittingTimeDp dp(&g, length);
+  TransitionDp dp(&g, length);
   auto h = dp.HittingTimesToSet(s);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(h[u], BruteForceHittingTime(g, u, s, length), 1e-9)
@@ -188,7 +188,7 @@ INSTANTIATE_TEST_SUITE_P(SmallGraphSweep, HittingTimeBruteForceTest,
 
 TEST(HittingTimeDpTest, MatrixMatchesPerTargetRuns) {
   Graph g = GeneratePaperFigure1();
-  HittingTimeDp dp(&g, 3);
+  TransitionDp dp(&g, 3);
   auto matrix = dp.HittingTimeMatrix();
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     auto column = dp.HittingTimesToNode(v);

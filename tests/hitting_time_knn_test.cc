@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
-#include "walk/hitting_time_dp.h"
+#include "walk/transition_dp.h"
 
 namespace rwdom {
 namespace {
@@ -52,7 +52,7 @@ TEST(ExactKnnTest, ValuesMatchDpColumn) {
   ASSERT_TRUE(graph.ok());
   const int32_t length = 5;
   const NodeId query = 7;
-  HittingTimeDp dp(&*graph, length);
+  TransitionDp dp(&*graph, length);
   auto column = dp.HittingTimesToNode(query);
   auto knn = ExactHittingTimeKnn(*graph, query, 10, length);
   for (const auto& row : knn) {
@@ -79,7 +79,7 @@ TEST(SampledKnnTest, EstimatesConvergeToExact) {
   ASSERT_TRUE(graph.ok());
   const int32_t length = 4;
   const NodeId query = 3;
-  HittingTimeDp dp(&*graph, length);
+  TransitionDp dp(&*graph, length);
   auto exact = dp.HittingTimesToNode(query);
   RandomWalkSource source(&*graph, 11);
   auto sampled = SampledHittingTimeKnn(&source, query, 24, length, 3000);

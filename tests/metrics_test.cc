@@ -4,8 +4,7 @@
 
 #include "graph/generators.h"
 #include "graph/node_set.h"
-#include "walk/hit_probability_dp.h"
-#include "walk/hitting_time_dp.h"
+#include "walk/transition_dp.h"
 
 namespace rwdom {
 namespace {
@@ -41,16 +40,15 @@ TEST(ExactMetricsTest, MatchesDpDirectly) {
   MetricsResult metrics = ExactMetrics(*graph, selected, length);
 
   NodeFlagSet s(40, selected);
-  HittingTimeDp hitting(&*graph, length);
-  auto h = hitting.HittingTimesToSet(s);
+  TransitionDp dp(&*graph, length);
+  auto h = dp.HittingTimesToSet(s);
   double total = 0.0;
   for (NodeId u = 0; u < 40; ++u) {
     if (!s.Contains(u)) total += h[u];
   }
   EXPECT_NEAR(metrics.aht, total / (40.0 - 3.0), 1e-9);
 
-  HitProbabilityDp probability(&*graph, length);
-  EXPECT_NEAR(metrics.ehn, probability.F2(s), 1e-9);
+  EXPECT_NEAR(metrics.ehn, dp.F2(s), 1e-9);
 }
 
 TEST(SampledMetricsTest, ConvergesToExact) {

@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/combined_objective.h"
 #include "core/exact_objective.h"
 #include "core/sampled_objective.h"
 #include "graph/generators.h"
-#include "walk/hit_probability_dp.h"
-#include "walk/hitting_time_dp.h"
+#include "walk/transition_dp.h"
 
 namespace rwdom {
 namespace {
@@ -17,12 +15,11 @@ TEST(ExactObjectiveTest, MatchesUnderlyingDp) {
   const int32_t length = 4;
   ExactObjective f1(&g, Problem::kHittingTime, length);
   ExactObjective f2(&g, Problem::kDominatedCount, length);
-  HittingTimeDp hitting(&g, length);
-  HitProbabilityDp probability(&g, length);
+  TransitionDp dp(&g, length);
 
   NodeFlagSet s(8, {1, 6});
-  EXPECT_DOUBLE_EQ(f1.Value(s), hitting.F1(s));
-  EXPECT_DOUBLE_EQ(f2.Value(s), probability.F2(s));
+  EXPECT_DOUBLE_EQ(f1.Value(s), dp.F1(s));
+  EXPECT_DOUBLE_EQ(f2.Value(s), dp.F2(s));
   EXPECT_EQ(f1.universe_size(), 8);
   EXPECT_EQ(f1.name(), "F1-exact");
   EXPECT_EQ(f2.name(), "F2-exact");
@@ -86,48 +83,6 @@ TEST(SampledObjectiveTest, NameAndUniverse) {
   EXPECT_EQ(objective.universe_size(), 5);
   EXPECT_EQ(objective.length(), 3);
   EXPECT_EQ(objective.num_samples(), 10);
-}
-
-TEST(CombinedObjectiveTest, WeightedSum) {
-  Graph g = GeneratePaperFigure1();
-  ExactObjective f1(&g, Problem::kHittingTime, 4);
-  ExactObjective f2(&g, Problem::kDominatedCount, 4);
-  CombinedObjective combined(&f1, 0.25, &f2, 2.0);
-  NodeFlagSet s(8, {1});
-  EXPECT_DOUBLE_EQ(combined.Value(s), 0.25 * f1.Value(s) + 2.0 * f2.Value(s));
-  EXPECT_DOUBLE_EQ(combined.ValueWithExtra(s, 6),
-                   0.25 * f1.ValueWithExtra(s, 6) +
-                       2.0 * f2.ValueWithExtra(s, 6));
-}
-
-TEST(CombinedObjectiveTest, NegativeWeightDies) {
-  Graph g = GenerateCycle(4);
-  ExactObjective f1(&g, Problem::kHittingTime, 2);
-  ExactObjective f2(&g, Problem::kDominatedCount, 2);
-  EXPECT_DEATH(CombinedObjective(&f1, -1.0, &f2, 1.0), "submodularity");
-}
-
-TEST(LambdaBlendTest, EndpointsRecoverComponents) {
-  Graph g = GeneratePaperFigure1();
-  const int32_t length = 4;
-  ExactObjective f1(&g, Problem::kHittingTime, length);
-  ExactObjective f2(&g, Problem::kDominatedCount, length);
-  auto blend0 = MakeLambdaBlendObjective(&g, length, 0.0);
-  auto blend1 = MakeLambdaBlendObjective(&g, length, 1.0);
-  NodeFlagSet s(8, {2, 5});
-  EXPECT_DOUBLE_EQ(blend0->Value(s), f2.Value(s));
-  EXPECT_DOUBLE_EQ(blend1->Value(s), f1.Value(s) / length);
-}
-
-TEST(LambdaBlendTest, MidpointInterpolates) {
-  Graph g = GenerateCycle(8);
-  const int32_t length = 3;
-  auto blend = MakeLambdaBlendObjective(&g, length, 0.5);
-  ExactObjective f1(&g, Problem::kHittingTime, length);
-  ExactObjective f2(&g, Problem::kDominatedCount, length);
-  NodeFlagSet s(8, {0, 4});
-  EXPECT_DOUBLE_EQ(blend->Value(s),
-                   0.5 * f1.Value(s) / length + 0.5 * f2.Value(s));
 }
 
 }  // namespace

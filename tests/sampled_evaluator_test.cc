@@ -7,9 +7,8 @@
 
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
-#include "walk/hit_probability_dp.h"
-#include "walk/hitting_time_dp.h"
 #include "walk/sample_size.h"
+#include "walk/transition_dp.h"
 #include "walk/walk.h"
 
 namespace rwdom {
@@ -122,10 +121,9 @@ TEST(SampledEvaluatorTest, ConvergesToExactDp) {
   const int32_t length = 5;
   NodeFlagSet s(60, {0, 7, 33});
 
-  HittingTimeDp hitting(&*graph, length);
-  HitProbabilityDp probability(&*graph, length);
-  const double exact_f1 = hitting.F1(s);
-  const double exact_f2 = probability.F2(s);
+  TransitionDp dp(&*graph, length);
+  const double exact_f1 = dp.F1(s);
+  const double exact_f2 = dp.F2(s);
 
   RandomWalkSource source(&*graph, 77);
   SampledEvaluator evaluator(length, /*num_samples=*/4000);
@@ -144,8 +142,8 @@ TEST(SampledEvaluatorTest, EstimatesWithinHoeffdingEnvelope) {
   ASSERT_TRUE(graph.ok());
   const int32_t length = 4;
   NodeFlagSet s(30, {0, 9});
-  HittingTimeDp hitting(&*graph, length);
-  const double exact_f1 = hitting.F1(s);
+  TransitionDp dp(&*graph, length);
+  const double exact_f1 = dp.F1(s);
 
   const double eps = 0.1;
   const double delta = 0.05;

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "core/selector_registry.h"
 #include "eval/metrics.h"
 #include "graph/generators.h"
+#include "persist/snapshot.h"
 #include "service/query_context.h"
 #include "service/render.h"
 #include "wgraph/substrate.h"
@@ -106,6 +110,41 @@ TEST(QueryContextTest, MemoryUsageAccountsEveryArtifact) {
     total += artifact.bytes;
   }
   EXPECT_EQ(total, context.TotalMemoryBytes());
+}
+
+TEST(QueryContextTest, AdmissionEstimateBoundsBuiltAndReloadedIndexes) {
+  // --max_cache_bytes refuses a build whose EstimatedIndexBytes exceeds
+  // the budget, so the estimate must never undershoot a real index —
+  // freshly built or reloaded from a snapshot.
+  const std::string path =
+      testing::TempDir() + "/rwdom_admission_bound.rwidx";
+  for (NodeId n : {2, 5, 40, 300, 1500}) {
+    const int64_t m = std::min<int64_t>(3 * n, int64_t{n} * (n - 1) / 2);
+    const Graph graph = GenerateErdosRenyiGnm(n, m, 7).value();
+    for (int kind = 0; kind < 3; ++kind) {
+      const bool directed = kind == 2;
+      QueryContext context(
+          kind == 0 ? GraphSubstrate(graph)
+                    : GraphSubstrate(AttachRandomWeights(graph, 11, directed),
+                                     directed));
+      for (int32_t length : {1, 2, 6, 17}) {
+        for (int32_t samples : {1, 5}) {
+          const ArtifactKey key = context.MakeKey(length, samples, 42);
+          const std::string where = context.substrate().kind() +
+                                    " n=" + std::to_string(n) + " " +
+                                    key.CanonicalString();
+          auto index = *context.GetIndex(key);
+          const int64_t estimate = context.EstimatedIndexBytes(key);
+          EXPECT_GE(estimate, index->MemoryUsageBytes()) << where;
+          ASSERT_TRUE(WalkIndexSerializer::Save(*index, key, path).ok());
+          auto reloaded = WalkIndexSerializer::Load(path);
+          ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+          EXPECT_GE(estimate, reloaded->index.MemoryUsageBytes()) << where;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(QueryContextTest, StatsAreMemoized) {

@@ -1,23 +1,19 @@
 // The persist layer's contract: v3 snapshots round-trip bit-exactly
-// under their ArtifactKey, every corruption mode (truncation, flipped
-// checksum bytes, bad magic, trailing garbage, foreign versions) is a
-// kCorruption rejection — never a crash or a silently wrong index — and
-// legacy v2/v1 files still load, transparently recompressed (v1 minus
-// the key it never carried).
+// under their ArtifactKey, and every corruption mode (truncation, flipped
+// checksum bytes, bad magic, trailing garbage, any other format version —
+// the v1/v2 layouts of earlier releases included) is a kCorruption
+// rejection — never a crash or a silently wrong index.
 #include "persist/snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "graph/generators.h"
 #include "index/gain_state.h"
-#include "util/fingerprint.h"
 #include "walk/walk_source.h"
 
 namespace rwdom {
@@ -59,10 +55,8 @@ TEST(SnapshotTest, RoundTripPreservesEveryPostingAndTheKey) {
 
   auto loaded = WalkIndexSerializer::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->version, 3u);
-  ASSERT_TRUE(loaded->key.has_value());
-  EXPECT_EQ(*loaded->key, key);
-  EXPECT_EQ(loaded->key->CanonicalString(), key.CanonicalString());
+  EXPECT_EQ(loaded->key, key);
+  EXPECT_EQ(loaded->key.CanonicalString(), key.CanonicalString());
   EXPECT_EQ(loaded->index.num_nodes(), index.num_nodes());
   EXPECT_EQ(loaded->index.length(), index.length());
   EXPECT_EQ(loaded->index.num_replicates(), index.num_replicates());
@@ -202,157 +196,35 @@ TEST(SnapshotTest, TrailingGarbageRejected) {
 }
 
 TEST(SnapshotTest, ForeignVersionRejectedWithItsNumber) {
-  const std::string path = TempPath("rwdom_snapshot_v99.rwidx");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write("RWDX", 4);
-    const uint32_t version = 99;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  // Versions 1 and 2 are earlier releases' layouts; 99 is from nowhere.
+  // Each file carries 40 zero bytes where a v3 header would follow: the
+  // version alone must reject it, from Load and from both Inspect modes.
+  for (uint32_t version : {1u, 2u, 99u}) {
+    const std::string path = TempPath("rwdom_snapshot_foreign.rwidx");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write("RWDX", 4);
+      out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+      const std::string header(40, '\0');
+      out.write(header.data(), static_cast<std::streamsize>(header.size()));
+    }
+    const std::string expected =
+        "unsupported snapshot version " + std::to_string(version);
+    auto loaded = WalkIndexSerializer::Load(path);
+    ASSERT_FALSE(loaded.ok()) << "version=" << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find(expected), std::string::npos)
+        << loaded.status();
+    for (bool verify : {false, true}) {
+      auto meta = WalkIndexSerializer::Inspect(path, verify);
+      ASSERT_FALSE(meta.ok())
+          << "version=" << version << " verify=" << verify;
+      EXPECT_EQ(meta.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(meta.status().message().find(expected), std::string::npos)
+          << meta.status();
+    }
+    std::remove(path.c_str());
   }
-  auto result = WalkIndexSerializer::Load(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(result.status().message().find("99"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-// Writes a tiny hand-rolled v1 file: 2 nodes, L=3, one replicate with
-// one posting per node — the pre-redesign --save_index layout.
-std::string WriteV1Sample(const char* name) {
-  const std::string path = TempPath(name);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  auto pod = [&out](const auto& value) {
-    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-  };
-  out.write("RWDX", 4);
-  pod(uint32_t{1});  // version
-  pod(int32_t{2});   // num_nodes
-  pod(int32_t{3});   // length
-  pod(int32_t{1});   // replicates
-  for (int64_t offset : {int64_t{0}, int64_t{1}, int64_t{2}}) pod(offset);
-  pod(int64_t{2});  // entry_count
-  pod(int32_t{1});  // entries[0] = {id 1, weight 1} (node 0's posting)
-  pod(int32_t{1});
-  pod(int32_t{0});  // entries[1] = {id 0, weight 2} (node 1's posting)
-  pod(int32_t{2});
-  return path;
-}
-
-TEST(SnapshotTest, LegacyV1FilesStillLoadWithoutAKey) {
-  const std::string path = WriteV1Sample("rwdom_snapshot_v1.rwidx");
-  auto loaded = WalkIndexSerializer::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->version, 1u);
-  EXPECT_FALSE(loaded->key.has_value());
-  EXPECT_EQ(loaded->index.num_nodes(), 2);
-  EXPECT_EQ(loaded->index.length(), 3);
-  EXPECT_EQ(loaded->index.num_replicates(), 1);
-  ASSERT_EQ(loaded->index.DecodeList(0, 0).size(), 1u);
-  EXPECT_EQ(loaded->index.DecodeList(0, 0)[0].id, 1);
-  EXPECT_EQ(loaded->index.DecodeList(0, 0)[0].weight, 1);
-  ASSERT_EQ(loaded->index.DecodeList(0, 1).size(), 1u);
-  EXPECT_EQ(loaded->index.DecodeList(0, 1)[0].id, 0);
-  EXPECT_EQ(loaded->index.DecodeList(0, 1)[0].weight, 2);
-  std::remove(path.c_str());
-}
-
-// Writes a hand-rolled v2 file (raw CSR sections under per-section
-// checksums): 2 nodes, L=3, R=1 — byte-for-byte what the
-// pre-compression serializer emitted. `entries` is interleaved
-// (id, weight) pairs, one per node by default via `offsets`.
-std::string WriteV2SampleWith(const char* name, const ArtifactKey& key,
-                              const std::vector<int64_t>& offsets,
-                              const std::vector<int32_t>& entries) {
-  const std::string path = TempPath(name);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  auto pod = [&out](const auto& value) {
-    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-  };
-  char body[32];
-  size_t at = 0;
-  auto put = [&](const void* data, size_t size) {
-    std::memcpy(body + at, data, size);
-    at += size;
-  };
-  const int32_t num_nodes = 2;
-  const int32_t num_replicates = 1;
-  put(&key.length, sizeof(int32_t));
-  put(&key.num_samples, sizeof(int32_t));
-  put(&key.seed, sizeof(uint64_t));
-  put(&key.substrate_fingerprint, sizeof(uint64_t));
-  put(&num_nodes, sizeof(int32_t));
-  put(&num_replicates, sizeof(int32_t));
-  out.write("RWDX", 4);
-  pod(uint32_t{2});  // version
-  pod(FingerprintBytes(body, sizeof(body)));
-  out.write(body, sizeof(body));
-
-  Fingerprint section;
-  section.Update(offsets.data(), offsets.size() * sizeof(int64_t));
-  section.Update(entries.data(), entries.size() * sizeof(int32_t));
-  pod(static_cast<uint64_t>(entries.size() / 2));  // entry_count
-  pod(section.Digest());
-  out.write(reinterpret_cast<const char*>(offsets.data()),
-            static_cast<std::streamsize>(offsets.size() * sizeof(int64_t)));
-  out.write(reinterpret_cast<const char*>(entries.data()),
-            static_cast<std::streamsize>(entries.size() * sizeof(int32_t)));
-  return path;
-}
-
-std::string WriteV2Sample(const char* name, const ArtifactKey& key) {
-  return WriteV2SampleWith(name, key, {0, 1, 2},
-                           {1, 1,   // node 0: {id 1, hop 1}
-                            0, 2});  // node 1: {id 0, hop 2}
-}
-
-TEST(SnapshotTest, LegacyV2FilesLoadRecompressedWithTheirKey) {
-  const ArtifactKey key{3, 1, 77, 0x1122334455667788ull};
-  const std::string path = WriteV2Sample("rwdom_snapshot_v2.rwidx", key);
-  auto loaded = WalkIndexSerializer::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->version, 2u);
-  ASSERT_TRUE(loaded->key.has_value());
-  EXPECT_EQ(*loaded->key, key);
-  EXPECT_EQ(loaded->index.num_nodes(), 2);
-  EXPECT_EQ(loaded->index.length(), 3);
-  EXPECT_EQ(loaded->index.num_replicates(), 1);
-  ASSERT_EQ(loaded->index.DecodeList(0, 0).size(), 1u);
-  EXPECT_EQ(loaded->index.DecodeList(0, 0)[0].id, 1);
-  EXPECT_EQ(loaded->index.DecodeList(0, 0)[0].weight, 1);
-  ASSERT_EQ(loaded->index.DecodeList(0, 1).size(), 1u);
-  EXPECT_EQ(loaded->index.DecodeList(0, 1)[0].id, 0);
-  EXPECT_EQ(loaded->index.DecodeList(0, 1)[0].weight, 2);
-  // Inspect still understands the legacy layout, deep verify included.
-  auto meta = WalkIndexSerializer::Inspect(path, /*verify=*/true);
-  ASSERT_TRUE(meta.ok()) << meta.status();
-  EXPECT_EQ(meta->version, 2u);
-  EXPECT_EQ(meta->total_entries, 2);
-  // Saving the recompressed index re-publishes it as v3.
-  const std::string resaved = TempPath("rwdom_snapshot_v2_resave.rwidx");
-  ASSERT_TRUE(
-      WalkIndexSerializer::Save(loaded->index, key, resaved).ok());
-  auto reloaded = WalkIndexSerializer::Load(resaved);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ(reloaded->version, 3u);
-  EXPECT_EQ(reloaded->index.TotalEntries(), 2);
-  std::remove(path.c_str());
-  std::remove(resaved.c_str());
-}
-
-TEST(SnapshotTest, LegacyV2WithUnsortedListRejected) {
-  // Node 0's list holds ids {1, 1} — checksummed correctly, but not
-  // strictly ascending. Recompression requires positive deltas, so
-  // structural validation must catch what the checksum cannot.
-  const ArtifactKey key{3, 1, 78, 0x1122334455667788ull};
-  const std::string path = WriteV2SampleWith(
-      "rwdom_snapshot_v2_unsorted.rwidx", key, {0, 2, 2},
-      {1, 1, 1, 2});
-  auto result = WalkIndexSerializer::Load(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(result.status().message().find("unsorted"), std::string::npos)
-      << result.status();
-  std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, InspectReportsShapeCheaplyAndVerifiesDeeply) {
@@ -365,8 +237,7 @@ TEST(SnapshotTest, InspectReportsShapeCheaplyAndVerifiesDeeply) {
     auto meta = WalkIndexSerializer::Inspect(path, verify);
     ASSERT_TRUE(meta.ok()) << meta.status();
     EXPECT_EQ(meta->version, 3u);
-    ASSERT_TRUE(meta->key.has_value());
-    EXPECT_EQ(*meta->key, key);
+    EXPECT_EQ(meta->key, key);
     EXPECT_EQ(meta->num_nodes, index.num_nodes());
     EXPECT_EQ(meta->length, index.length());
     EXPECT_EQ(meta->num_replicates, index.num_replicates());
@@ -385,16 +256,21 @@ TEST(SnapshotTest, InspectReportsShapeCheaplyAndVerifiesDeeply) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, InspectOnV1ReportsShapeButRefusesVerify) {
-  const std::string path = WriteV1Sample("rwdom_snapshot_v1_inspect.rwidx");
-  auto meta = WalkIndexSerializer::Inspect(path, /*verify=*/false);
-  ASSERT_TRUE(meta.ok()) << meta.status();
-  EXPECT_EQ(meta->version, 1u);
-  EXPECT_FALSE(meta->key.has_value());
-  EXPECT_EQ(meta->num_nodes, 2);
-  EXPECT_EQ(meta->total_entries, 2);
-  auto verified = WalkIndexSerializer::Inspect(path, /*verify=*/true);
-  EXPECT_EQ(verified.status().code(), StatusCode::kInvalidArgument);
+TEST(SnapshotTest, SkimRejectsATruncatedFinalReplicate) {
+  // The cheap skim seeks past each replicate body rather than reading
+  // it; a cut inside the last one must still surface as corruption.
+  InvertedWalkIndex index = BuildSampleIndex(9);
+  const std::string path = TempPath("rwdom_snapshot_skim_cut.rwidx");
+  ASSERT_TRUE(WalkIndexSerializer::Save(index, SampleKey(9), path).ok());
+  const std::string bytes = ReadBytes(path);
+  for (size_t cut : {size_t{1}, size_t{100}}) {
+    WriteBytes(path, bytes.substr(0, bytes.size() - cut));
+    for (bool verify : {false, true}) {
+      auto meta = WalkIndexSerializer::Inspect(path, verify);
+      ASSERT_FALSE(meta.ok()) << "cut=" << cut << " verify=" << verify;
+      EXPECT_EQ(meta.status().code(), StatusCode::kCorruption);
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -1,18 +1,26 @@
 // Property tests for Theorems 3.1 and 3.2: F1 and F2 are nondecreasing
 // submodular set functions with F(empty) = 0 — checked numerically on random
-// graphs, random nested set pairs S ⊆ T, and random candidate nodes.
+// graphs, random nested set pairs S ⊆ T, and random candidate nodes — and
+// the greedy guarantee those properties buy, checked against the true
+// optimum on substrates small enough to enumerate.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <cmath>
+#include <ostream>
+#include <string>
 #include <vector>
 
-#include "core/combined_objective.h"
 #include "core/exact_objective.h"
 #include "core/objective.h"
+#include "core/selector_registry.h"
 #include "graph/generators.h"
 #include "graph/node_set.h"
 #include "util/rng.h"
 #include "walk/problem.h"
+#include "walk/transition_model.h"
+#include "wgraph/substrate.h"
+#include "wgraph/weighted_transition_model.h"
 
 namespace rwdom {
 namespace {
@@ -110,21 +118,6 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Range(0, 4), testing::Values(1u, 2u, 3u),
                      testing::Values(1, 4, 7)));
 
-TEST(SubmodularityTest, CombinedObjectiveInheritsBothProperties) {
-  Graph g = GenerateBarabasiAlbert(20, 2, 5).value();
-  auto blend = MakeLambdaBlendObjective(&g, 4, 0.5);
-  Rng rng(99);
-  for (int trial = 0; trial < 10; ++trial) {
-    NestedSets sets = DrawNestedSets(g, &rng);
-    if (sets.j == kInvalidNode) continue;
-    const double f_s = blend->Value(sets.s);
-    const double f_t = blend->Value(sets.t);
-    EXPECT_LE(f_s, f_t + 1e-9);
-    EXPECT_GE(blend->ValueWithExtra(sets.s, sets.j) - f_s + 1e-9,
-              blend->ValueWithExtra(sets.t, sets.j) - f_t);
-  }
-}
-
 TEST(SubmodularityTest, F1BoundedByNL) {
   // 0 <= F1(S) <= nL and 0 <= F2(S) <= n for any S.
   Graph g = GenerateBarabasiAlbert(25, 3, 7).value();
@@ -143,6 +136,90 @@ TEST(SubmodularityTest, F1BoundedByNL) {
     EXPECT_LE(f2.Value(s), 25.0 + 1e-9);
   }
 }
+
+// The largest objective value over every k-subset of the nodes.
+double Optimum(const Objective& objective, int32_t k) {
+  const NodeId n = objective.universe_size();
+  double best = 0.0;
+  std::vector<NodeId> chosen;
+  auto extend = [&](auto&& self, NodeId next) -> void {
+    if (static_cast<int32_t>(chosen.size()) == k) {
+      best = std::max(best, objective.Value(NodeFlagSet(n, chosen)));
+      return;
+    }
+    for (NodeId u = next; u < n; ++u) {
+      chosen.push_back(u);
+      self(self, u + 1);
+      chosen.pop_back();
+    }
+  };
+  extend(extend, 0);
+  return best;
+}
+
+enum class SubstrateKind { kUniform, kWeighted, kWeightedDirected };
+
+// Names the parameter in test names and failure messages.
+void PrintTo(SubstrateKind kind, std::ostream* os) {
+  switch (kind) {
+    case SubstrateKind::kUniform:
+      *os << "Uniform";
+      break;
+    case SubstrateKind::kWeighted:
+      *os << "Weighted";
+      break;
+    case SubstrateKind::kWeightedDirected:
+      *os << "WeightedDirected";
+      break;
+  }
+}
+
+class GreedyVersusOptimumTest
+    : public testing::TestWithParam<SubstrateKind> {};
+
+// F1 and F2 are monotone submodular with F(empty) = 0 on any transition
+// model, so the greedy k-set scores at least (1 - 1/e) * OPT (Nemhauser,
+// Wolsey & Fisher, Math. Prog. 1978). OPT is found by enumeration.
+TEST_P(GreedyVersusOptimumTest, DpGreedyReachesOneMinusOneOverEOfOptimum) {
+  const SubstrateKind kind = GetParam();
+  const bool directed = kind == SubstrateKind::kWeightedDirected;
+  const double bound = 1.0 - std::exp(-1.0);
+  for (NodeId n : {6, 9, 12}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      Graph g = GenerateErdosRenyiGnm(n, 2 * n, seed).value();
+      WeightedGraph wg = AttachRandomWeights(g, seed, directed);
+      UniformTransitionModel uniform(&g);
+      WeightedTransitionModel weighted(&wg, directed);
+      const TransitionModel& model =
+          kind == SubstrateKind::kUniform
+              ? static_cast<const TransitionModel&>(uniform)
+              : weighted;
+      for (int32_t length : {2, 5}) {
+        for (Problem problem :
+             {Problem::kHittingTime, Problem::kDominatedCount}) {
+          ExactObjective objective(&model, problem, length);
+          const std::string name = "DP" + std::string(ProblemName(problem));
+          for (int32_t k : {1, 2, 3}) {
+            auto greedy =
+                MakeSelector(name, &model, SelectorParams{.length = length});
+            ASSERT_TRUE(greedy.ok()) << greedy.status();
+            const double value =
+                objective.Value(NodeFlagSet(n, (*greedy)->Select(k).selected));
+            EXPECT_GE(value, bound * Optimum(objective, k) - 1e-9)
+                << name << " n=" << n << " seed=" << seed
+                << " L=" << length << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Substrates, GreedyVersusOptimumTest,
+    testing::Values(SubstrateKind::kUniform, SubstrateKind::kWeighted,
+                    SubstrateKind::kWeightedDirected),
+    testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace rwdom

@@ -16,7 +16,6 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/node_set.h"
-#include "walk/hitting_time_dp.h"
 #include "walk/transition_dp.h"
 #include "walk/walk_source.h"
 #include "wgraph/weighted_graph.h"
@@ -123,15 +122,15 @@ TEST(TransitionDpTest, UniformAndWeightOneModelsAgreeExactly) {
   EXPECT_NEAR(dp_uniform.F2(s), dp_weighted.F2(s), 1e-9);
 }
 
-TEST(TransitionDpTest, MatchesLegacyAdapters) {
+TEST(TransitionDpTest, GraphConstructorMatchesUniformModel) {
   auto graph = GenerateErdosRenyiGnm(40, 120, 3).value();
   UniformTransitionModel model(&graph);
   TransitionDp dp(&model, 4);
-  HittingTimeDp legacy(&graph, 4);
+  TransitionDp over_graph(&graph, 4);
   NodeFlagSet s(40, {1, 2});
-  EXPECT_EQ(dp.HittingTimesToSet(s), legacy.HittingTimesToSet(s));
-  EXPECT_EQ(dp.F1(s), legacy.F1(s));
-  EXPECT_EQ(dp.HittingTimesToNode(5), legacy.HittingTimesToNode(5));
+  EXPECT_EQ(dp.HittingTimesToSet(s), over_graph.HittingTimesToSet(s));
+  EXPECT_EQ(dp.F1(s), over_graph.F1(s));
+  EXPECT_EQ(dp.HittingTimesToNode(5), over_graph.HittingTimesToNode(5));
 }
 
 TEST(TransitionWalkSourceTest, MatchesRandomWalkSourceBitForBit) {

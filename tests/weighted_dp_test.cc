@@ -1,12 +1,18 @@
-#include "wgraph/weighted_dp.h"
-
+// Theorems 2.2 / 2.3 on weighted digraphs: TransitionDp and
+// TransitionWalkSource over a WeightedTransitionModel, plus the weighted
+// selects through the same MakeSelector registry every substrate uses.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "core/approx_greedy.h"
+#include "core/selector_registry.h"
 #include "graph/generators.h"
-#include "walk/hit_probability_dp.h"
-#include "walk/hitting_time_dp.h"
-#include "wgraph/weighted_select.h"
-#include "wgraph/weighted_walk_source.h"
+#include "walk/transition_dp.h"
+#include "walk/walk_source.h"
+#include "wgraph/weighted_graph.h"
+#include "wgraph/weighted_transition_model.h"
 
 namespace rwdom {
 namespace {
@@ -39,6 +45,16 @@ double BruteProb(const WeightedGraph& g, NodeId u, const NodeFlagSet& s,
   return p;
 }
 
+// A registry-built selector over `model`; fails the test if the name is
+// unknown.
+std::unique_ptr<Selector> MustMake(const std::string& name,
+                                   const TransitionModel& model,
+                                   const SelectorParams& params) {
+  auto selector = MakeSelector(name, &model, params);
+  EXPECT_TRUE(selector.ok()) << selector.status();
+  return std::move(selector).value();
+}
+
 WeightedGraph WeightedTriangle() {
   // 0 -> 1 (w 2), 0 -> 2 (w 1), 1 -> 2 (w 1), 2 -> 0 (w 1).
   WeightedGraphBuilder builder(3);
@@ -51,7 +67,8 @@ WeightedGraph WeightedTriangle() {
 
 TEST(WeightedDpTest, HandComputedDirectedCase) {
   WeightedGraph g = WeightedTriangle();
-  WeightedDp dp(&g, 2);
+  WeightedTransitionModel model(&g);
+  TransitionDp dp(&model, 2);
   NodeFlagSet s(3, {2});
   auto h = dp.HittingTimesToSet(s);
   // From 1: forced 1 -> 2, h = 1. From 0: 1/3 straight to 2 (t=1),
@@ -71,20 +88,20 @@ TEST(WeightedDpTest, UniformWeightsMatchUnweightedDp) {
   const int32_t length = 5;
   NodeFlagSet s(40, {0, 11, 29});
 
-  WeightedDp weighted(&wg, length);
-  HittingTimeDp hitting(&*graph, length);
-  HitProbabilityDp probability(&*graph, length);
+  WeightedTransitionModel model(&wg);
+  TransitionDp weighted(&model, length);
+  TransitionDp unweighted(&*graph, length);
 
   auto wh = weighted.HittingTimesToSet(s);
-  auto uh = hitting.HittingTimesToSet(s);
+  auto uh = unweighted.HittingTimesToSet(s);
   auto wp = weighted.HitProbabilities(s);
-  auto up = probability.HitProbabilities(s);
+  auto up = unweighted.HitProbabilities(s);
   for (NodeId u = 0; u < 40; ++u) {
     EXPECT_NEAR(wh[u], uh[u], 1e-12) << u;
     EXPECT_NEAR(wp[u], up[u], 1e-12) << u;
   }
-  EXPECT_NEAR(weighted.F1(s), hitting.F1(s), 1e-9);
-  EXPECT_NEAR(weighted.F2(s), probability.F2(s), 1e-9);
+  EXPECT_NEAR(weighted.F1(s), unweighted.F1(s), 1e-9);
+  EXPECT_NEAR(weighted.F2(s), unweighted.F2(s), 1e-9);
 }
 
 class WeightedBruteForceTest : public testing::TestWithParam<int32_t> {};
@@ -102,7 +119,8 @@ TEST_P(WeightedBruteForceTest, DpMatchesDefinition) {
   // 4 is a sink.
   WeightedGraph g = std::move(builder).BuildOrDie();
   NodeFlagSet s(5, {3});
-  WeightedDp dp(&g, length);
+  WeightedTransitionModel model(&g);
+  TransitionDp dp(&model, length);
   auto h = dp.HittingTimesToSet(s);
   auto p = dp.HitProbabilities(s);
   for (NodeId u = 0; u < 5; ++u) {
@@ -117,7 +135,8 @@ INSTANTIATE_TEST_SUITE_P(Lengths, WeightedBruteForceTest,
 TEST(WeightedDpTest, PlusVariantMatchesUnion) {
   WeightedGraph wg =
       WeightedGraph::FromUnweighted(GenerateTwoCliquesBridge(4));
-  WeightedDp dp(&wg, 4);
+  WeightedTransitionModel model(&wg);
+  TransitionDp dp(&model, 4);
   NodeFlagSet s(8, {1});
   NodeFlagSet s_union(8, {1, 6});
   EXPECT_NEAR(dp.F1Plus(s, 6), dp.F1(s_union), 1e-12);
@@ -134,10 +153,11 @@ TEST(WeightedDpTest, SampledWalksAgreeWithDp) {
   WeightedGraph g = std::move(builder).BuildOrDie();
   const int32_t length = 4;
   NodeFlagSet s(4, {2});
-  WeightedDp dp(&g, length);
+  WeightedTransitionModel model(&g);
+  TransitionDp dp(&model, length);
   auto exact = dp.HitProbabilities(s);
 
-  WeightedWalkSource source(&g, 31);
+  TransitionWalkSource source(&model, 31);
   std::vector<NodeId> walk;
   const int kTrials = 40000;
   for (NodeId start : {0, 1, 3}) {
@@ -164,10 +184,11 @@ TEST(WeightedSelectTest, WeightedDpGreedyPrefersHeavyHub) {
     builder.AddUndirectedEdge(0, leaf, 2.0);
   }
   WeightedGraph g = std::move(builder).BuildOrDie();
-  WeightedDpGreedy greedy(&g, Problem::kDominatedCount, 3);
-  SelectionResult result = greedy.Select(1);
+  WeightedTransitionModel model(&g);
+  auto greedy = MustMake("DPF2", model, {.length = 3});
+  SelectionResult result = greedy->Select(1);
   EXPECT_EQ(result.selected[0], 0);
-  EXPECT_EQ(greedy.name(), "WeightedDPF2");
+  EXPECT_EQ(greedy->name(), "DPF2");
 }
 
 TEST(WeightedSelectTest, WeightBiasChangesSelection) {
@@ -189,37 +210,40 @@ TEST(WeightedSelectTest, WeightBiasChangesSelection) {
   };
   WeightedGraph uniform = build(1.0);
   WeightedGraph biased = build(10.0);
-  WeightedDpGreedy uniform_greedy(&uniform, Problem::kHittingTime, 4);
-  WeightedDpGreedy biased_greedy(&biased, Problem::kHittingTime, 4);
-  auto u_sel = uniform_greedy.Select(2).selected;
-  auto b_sel = biased_greedy.Select(2).selected;
+  WeightedTransitionModel uniform_model(&uniform);
+  WeightedTransitionModel biased_model(&biased);
+  auto u_sel =
+      MustMake("DPF1", uniform_model, {.length = 4})->Select(2).selected;
+  auto b_sel =
+      MustMake("DPF1", biased_model, {.length = 4})->Select(2).selected;
   // The objective values must differ; the selections typically do too.
-  WeightedDp u_dp(&uniform, 4);
-  WeightedDp b_dp(&biased, 4);
+  TransitionDp u_dp(&uniform_model, 4);
+  TransitionDp b_dp(&biased_model, 4);
   NodeFlagSet su(9, u_sel), sb(9, b_sel);
   EXPECT_NE(u_dp.F1(su), b_dp.F1(sb));
 }
 
 TEST(WeightedSelectTest, WeightedApproxTracksWeightedDp) {
-  // On a uniform-weight conversion, WeightedApproxGreedy must score close
+  // On a uniform-weight conversion, weighted ApproxF2 must score close
   // to the weighted DP greedy (and hence to the unweighted pipeline).
   auto graph = GeneratePowerLawWithSize(200, 1000, 203);
   ASSERT_TRUE(graph.ok());
   WeightedGraph wg = WeightedGraph::FromUnweighted(*graph);
+  WeightedTransitionModel model(&wg);
   const int32_t length = 4;
   const int32_t k = 6;
 
-  WeightedDpGreedy dp(&wg, Problem::kDominatedCount, length);
-  SelectionResult dp_result = dp.Select(k);
+  SelectionResult dp_result =
+      MustMake("DPF2", model, {.length = length})->Select(k);
 
-  WeightedApproxGreedy::Options options{
-      .length = length, .num_replicates = 120, .seed = 3, .lazy = true};
-  WeightedApproxGreedy approx(&wg, Problem::kDominatedCount, options);
-  SelectionResult approx_result = approx.Select(k);
-  EXPECT_EQ(approx.name(), "WeightedApproxF2");
-  ASSERT_NE(approx.index(), nullptr);
+  auto approx = MustMake(
+      "ApproxF2", model,
+      {.length = length, .num_samples = 120, .seed = 3, .lazy = true});
+  SelectionResult approx_result = approx->Select(k);
+  EXPECT_EQ(approx->name(), "ApproxF2");
+  ASSERT_NE(dynamic_cast<ApproxGreedy&>(*approx).index(), nullptr);
 
-  WeightedDp dp_eval(&wg, length);
+  TransitionDp dp_eval(&model, length);
   NodeFlagSet s_dp(200, dp_result.selected);
   NodeFlagSet s_approx(200, approx_result.selected);
   EXPECT_NEAR(dp_eval.F2(s_approx) / dp_eval.F2(s_dp), 1.0, 0.05);
@@ -228,11 +252,11 @@ TEST(WeightedSelectTest, WeightedApproxTracksWeightedDp) {
 TEST(WeightedSelectTest, DeterministicInSeed) {
   WeightedGraph wg =
       WeightedGraph::FromUnweighted(GenerateCycle(30));
-  WeightedApproxGreedy::Options options{
-      .length = 3, .num_replicates = 20, .seed = 5, .lazy = true};
-  WeightedApproxGreedy a(&wg, Problem::kHittingTime, options);
-  WeightedApproxGreedy b(&wg, Problem::kHittingTime, options);
-  EXPECT_EQ(a.Select(4).selected, b.Select(4).selected);
+  WeightedTransitionModel model(&wg);
+  const SelectorParams params{
+      .length = 3, .num_samples = 20, .seed = 5, .lazy = true};
+  EXPECT_EQ(MustMake("ApproxF1", model, params)->Select(4).selected,
+            MustMake("ApproxF1", model, params)->Select(4).selected);
 }
 
 }  // namespace

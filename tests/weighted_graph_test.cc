@@ -4,7 +4,8 @@
 
 #include "graph/generators.h"
 #include "walk/walk.h"
-#include "wgraph/weighted_walk_source.h"
+#include "walk/walk_source.h"
+#include "wgraph/weighted_transition_model.h"
 
 namespace rwdom {
 namespace {
@@ -81,7 +82,8 @@ TEST(WeightedWalkSourceTest, WalksFollowArcs) {
   builder.AddUndirectedEdge(1, 2, 1.0);
   builder.AddUndirectedEdge(2, 3, 1.0);
   WeightedGraph wg = std::move(builder).BuildOrDie();
-  WeightedWalkSource source(&wg, 5);
+  WeightedTransitionModel model(&wg);
+  TransitionWalkSource source(&model, 5);
   EXPECT_EQ(source.num_nodes(), 4);
   std::vector<NodeId> walk;
   for (int i = 0; i < 20; ++i) {
@@ -100,7 +102,8 @@ TEST(WeightedWalkSourceTest, SinkEndsWalkEarly) {
   builder.AddArc(0, 1, 1.0);
   builder.AddArc(1, 2, 1.0);  // 2 is a sink.
   WeightedGraph wg = std::move(builder).BuildOrDie();
-  WeightedWalkSource source(&wg, 3);
+  WeightedTransitionModel model(&wg);
+  TransitionWalkSource source(&model, 3);
   std::vector<NodeId> walk;
   source.SampleWalk(0, 10, &walk);
   EXPECT_EQ(walk, (std::vector<NodeId>{0, 1, 2}));
@@ -112,7 +115,8 @@ TEST(WeightedWalkSourceTest, HeavyArcDominatesStepChoice) {
   builder.AddArc(0, 1, 99.0);
   builder.AddArc(0, 2, 1.0);
   WeightedGraph wg = std::move(builder).BuildOrDie();
-  WeightedWalkSource source(&wg, 7);
+  WeightedTransitionModel model(&wg);
+  TransitionWalkSource source(&model, 7);
   std::vector<NodeId> walk;
   int toward_heavy = 0;
   const int kTrials = 5000;
@@ -126,7 +130,8 @@ TEST(WeightedWalkSourceTest, HeavyArcDominatesStepChoice) {
 TEST(WeightedWalkSourceTest, DeterministicInSeed) {
   WeightedGraph wg =
       WeightedGraph::FromUnweighted(GenerateCycle(12));
-  WeightedWalkSource a(&wg, 9), b(&wg, 9);
+  WeightedTransitionModel model(&wg);
+  TransitionWalkSource a(&model, 9), b(&model, 9);
   std::vector<NodeId> wa, wb;
   for (int i = 0; i < 10; ++i) {
     a.SampleWalk(3, 8, &wa);
