@@ -7,12 +7,10 @@
 // Expected shape: the alias walker costs a small constant factor (it draws
 // two random numbers per step instead of one), preserving the O(kRLn)
 // complexity — the claim behind the paper's "easily extended to weighted
-// graphs" remark. Results land in BENCH_ablation_weighted_overhead.json
-// via --json_dir for the CI artifact trail.
+// graphs" remark.
 #include <cstdio>
 #include <vector>
 
-#include "util/json.h"
 #include "core/approx_greedy.h"
 #include "graph/generators.h"
 #include "harness/experiment.h"
@@ -33,16 +31,6 @@ int main(int argc, char** argv) {
                 : std::vector<NodeId>{5000, 10000, 20000};
   const int32_t replicates = args.full ? 50 : 25;
   const int32_t k = args.full ? 50 : 25;
-
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("bench").String("ablation_weighted_overhead");
-  json.Key("mode").String(args.full ? "full" : "quick");
-  json.Key("seed").Int(static_cast<int64_t>(args.seed));
-  json.Key("L").Int(6);
-  json.Key("R").Int(replicates);
-  json.Key("k").Int(k);
-  json.Key("series").BeginArray();
 
   TablePrinter table({"nodes", "edges", "unweighted s", "weighted s",
                       "overhead"});
@@ -69,16 +57,7 @@ int main(int argc, char** argv) {
                   StrFormat("%.3f", unweighted_s),
                   StrFormat("%.3f", weighted_s),
                   StrFormat("%.2fx", overhead)});
-    json.BeginObject()
-        .Key("nodes").Int(n)
-        .Key("edges").Int(m)
-        .Key("unweighted_seconds").Number(unweighted_s)
-        .Key("weighted_seconds").Number(weighted_s)
-        .Key("overhead").Number(overhead)
-        .EndObject();
   }
-  json.EndArray().EndObject();
   table.Print();
-  MaybeDumpJson(args, "ablation_weighted_overhead", json.ToString());
   return 0;
 }

@@ -8,6 +8,10 @@
 //
 // Expected shape (paper §4.2): the Approx curves flatten onto the DP
 // dashed line for R >= 50-100; max AHT gap ~0.01, max EHN gap ~1.5.
+// This binary checks that claim: it exits 1 if any Approx row lands
+// more than 0.01 AHT or 1.5 EHN away from its DP row.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -33,6 +37,11 @@ int main(int argc, char** argv) {
   const std::vector<int32_t> r_values = {50, 100, 150, 200, 250};
   // Metrics use the paper's protocol: Algorithm 2 with R = 500.
   const int32_t metric_samples = 500;
+  // The paper's stated accuracy (§4.2).
+  const double kAhtTolerance = 0.01;
+  const double kEhnTolerance = 1.5;
+  double max_aht_gap = 0.0;
+  double max_ehn_gap = 0.0;
 
   CsvWriter csv({"figure", "problem", "L", "algorithm", "R", "AHT", "EHN"});
   for (int32_t length : {5, 10}) {
@@ -67,6 +76,10 @@ int main(int argc, char** argv) {
         SelectionResult result = approx.Select(k);
         MetricsResult metrics = SampledMetrics(
             graph, result.selected, length, metric_samples, args.seed + 1);
+        max_aht_gap =
+            std::max(max_aht_gap, std::abs(metrics.aht - dp_metrics.aht));
+        max_ehn_gap =
+            std::max(max_ehn_gap, std::abs(metrics.ehn - dp_metrics.ehn));
         table.AddRow(
             {approx.name(), std::to_string(r),
              StrFormat("%.4f", metrics.aht), StrFormat("%.2f", metrics.ehn)});
@@ -80,5 +93,11 @@ int main(int argc, char** argv) {
     }
   }
   MaybeDumpCsv(args, "fig2_3_accuracy", csv.ToString());
-  return 0;
+  const bool within = max_aht_gap <= kAhtTolerance &&
+                      max_ehn_gap <= kEhnTolerance;
+  std::printf("max gap to DP: AHT %.4f (tolerance %.2f), EHN %.2f "
+              "(tolerance %.1f): %s\n",
+              max_aht_gap, kAhtTolerance, max_ehn_gap, kEhnTolerance,
+              within ? "within" : "OUTSIDE");
+  return within ? 0 : 1;
 }

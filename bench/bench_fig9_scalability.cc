@@ -11,13 +11,11 @@
 #include <cstdio>
 #include <vector>
 
-#include "util/json.h"
 #include "core/approx_greedy.h"
 #include "graph/generators.h"
 #include "harness/experiment.h"
 #include "util/table_printer.h"
 #include "util/csv.h"
-#include "util/parallel.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -39,16 +37,6 @@ int main(int argc, char** argv) {
                       "index MB"});
   CsvWriter csv({"i", "nodes", "edges", "approxf1_seconds",
                  "approxf2_seconds", "index_mb"});
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("bench").String("fig9_scalability");
-  json.Key("mode").String(args.full ? "full" : "quick");
-  json.Key("L").Int(length);
-  json.Key("R").Int(replicates);
-  json.Key("k").Int(k);
-  json.Key("seed").Int(static_cast<int64_t>(args.seed));
-  json.Key("threads").Int(NumThreads());
-  json.Key("series").BeginArray();
   for (int i = 1; i <= 10; ++i) {
     const NodeId n = static_cast<NodeId>(i * node_step);
     const int64_t m = i * edge_step;
@@ -78,22 +66,11 @@ int main(int argc, char** argv) {
     csv.AddRow({std::to_string(i), std::to_string(n), std::to_string(m),
                 StrFormat("%.4f", seconds[0]),
                 StrFormat("%.4f", seconds[1]), StrFormat("%.1f", index_mb)});
-    json.BeginObject();
-    json.Key("i").Int(i);
-    json.Key("nodes").Int(n);
-    json.Key("edges").Int(m);
-    json.Key("approxf1_seconds").Number(seconds[0]);
-    json.Key("approxf2_seconds").Number(seconds[1]);
-    json.Key("index_mb").Number(index_mb);
-    json.EndObject();
   }
-  json.EndArray();
-  json.EndObject();
   table.Print();
   std::printf(
       "\nLinearity check: seconds(G_10)/seconds(G_1) should be ~10 for both "
       "algorithms.\n");
   MaybeDumpCsv(args, "fig9_scalability", csv.ToString());
-  MaybeDumpJson(args, "fig9_scalability", json.ToString());
   return 0;
 }

@@ -2,14 +2,14 @@
 // delta+varint posting layout vs. the former raw CSR, plus the cost of
 // one decode + savings-tally sweep through GainState::ApproxGain.
 //
-// This is a gate, not just a report. The binary exits non-zero if
+// The binary exits non-zero if
 //   - any decoded posting list diverges from a brute-force inversion of
 //     the identical walk streams (the codec must be lossless), or
 //   - the compression ratio falls under 2x on the CAGrQc stand-in (the
 //     layout's reason to exist).
-// Ratio and bytes/entry are correctness-tier JSON fields (the bench
-// gate holds them within tolerance); *_seconds fields are informational.
-// JSON output: BENCH_index_compression.json via --json_dir.
+// The tier-1 tests PostingsCodecTest.CompressedIndexMatchesRawInversion
+// and InvertedWalkIndexTest.EntryBoundAndMemoryAccounting hold the same
+// two properties.
 #include <cstdio>
 #include <vector>
 
@@ -17,7 +17,6 @@
 #include "harness/experiment.h"
 #include "index/gain_state.h"
 #include "index/inverted_walk_index.h"
-#include "util/json.h"
 #include "util/logging.h"
 #include "util/timer.h"
 #include "walk/walk_source.h"
@@ -125,26 +124,6 @@ int Run(int argc, char** argv) {
               build_seconds * 1e3,
               lossless ? "lossless" : "MISMATCH",
               ratio >= 2.0 ? "meets" : "MISSES");
-
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("bench").String("index_compression");
-  json.Key("dataset").String(dataset->name);
-  json.Key("n").Int(graph.num_nodes());
-  json.Key("L").Int(length);
-  json.Key("R").Int(replicates);
-  json.Key("seed").Int(static_cast<int64_t>(args.seed));
-  json.Key("entries").Int(entries);
-  json.Key("compressed_bytes").Int(compressed);
-  json.Key("raw_bytes").Int(raw);
-  json.Key("bytes_per_entry_compressed").Number(bpe_compressed);
-  json.Key("bytes_per_entry_raw").Number(bpe_raw);
-  json.Key("compression_ratio").Number(ratio);
-  json.Key("lossless").Bool(lossless);
-  json.Key("build_seconds").Number(build_seconds);
-  json.Key("scan_seconds").Number(scan_seconds);
-  json.EndObject();
-  MaybeDumpJson(args, "index_compression", json.ToString());
 
   return (lossless && ratio >= 2.0) ? 0 : 1;
 }

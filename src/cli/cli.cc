@@ -105,8 +105,8 @@ Status RunCliCommand(const CliInvocation& invocation, std::ostream& out) {
 
 int CliMain(int argc, const char* const* argv) {
   // Fault-injection schedules ride in on the environment so child
-  // processes under test (crash-consistency, bench_degradation) can be
-  // armed without touching their command lines. No-op when unset.
+  // processes under test (crash_consistency_test) can be armed without
+  // touching their command lines. No-op when unset.
   if (Status faults = ArmFaultsFromEnv(); !faults.ok()) {
     std::fprintf(stderr, "RWDOM_FAULTS: %s\n", faults.ToString().c_str());
     return 2;

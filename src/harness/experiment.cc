@@ -26,8 +26,6 @@ BenchArgs ParseBenchArgs(int argc, char** argv) {
       args.data_dir = std::string(arg.substr(11));
     } else if (StartsWith(arg, "--csv_dir=")) {
       args.csv_dir = std::string(arg.substr(10));
-    } else if (StartsWith(arg, "--json_dir=")) {
-      args.json_dir = std::string(arg.substr(11));
     } else if (StartsWith(arg, "--threads=")) {
       auto parsed = ParseInt64(arg.substr(10));
       RWDOM_CHECK(parsed.ok() && *parsed >= 1 && *parsed <= 1024)
@@ -37,7 +35,7 @@ BenchArgs ParseBenchArgs(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
                    "usage: %s [--full] [--seed=N] [--threads=N] "
-                   "[--data_dir=DIR] [--csv_dir=DIR] [--json_dir=DIR]\n",
+                   "[--data_dir=DIR] [--csv_dir=DIR]\n",
                    argv[0]);
       std::exit(0);
     } else {
@@ -100,18 +98,6 @@ void MaybeDumpCsv(const BenchArgs& args, const std::string& name,
     return;
   }
   file << csv_text;
-}
-
-void MaybeDumpJson(const BenchArgs& args, const std::string& name,
-                   const std::string& json_text) {
-  if (args.json_dir.empty()) return;
-  const std::string path = args.json_dir + "/BENCH_" + name + ".json";
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    RWDOM_LOG(WARNING) << "cannot write " << path << "; skipping JSON dump";
-    return;
-  }
-  file << json_text << "\n";
 }
 
 }  // namespace rwdom

@@ -19,7 +19,6 @@ namespace rwdom {
 ///   --seed=<u64>     master seed (default 42)
 ///   --data_dir=<dir> where real SNAP edge lists may live (default "data")
 ///   --csv_dir=<dir>  also dump each table as CSV into this directory
-///   --json_dir=<dir> also dump machine-readable BENCH_*.json output
 ///   --threads=<n>    worker threads (default RWDOM_THREADS env / cores);
 ///                    applied via SetNumThreads before the bench runs
 struct BenchArgs {
@@ -27,7 +26,6 @@ struct BenchArgs {
   uint64_t seed = 42;
   std::string data_dir = "data";
   std::string csv_dir;
-  std::string json_dir;
   int threads = 0;  ///< 0 = default.
 };
 
@@ -54,11 +52,6 @@ std::vector<MetricsResult> EvaluatePrefixes(
 /// and continues on failure (benches should not die on an unwritable dir).
 void MaybeDumpCsv(const BenchArgs& args, const std::string& name,
                   const std::string& csv_text);
-
-/// Writes `json_text` to `<json_dir>/BENCH_<name>.json` when json_dir is
-/// set; same failure policy as MaybeDumpCsv.
-void MaybeDumpJson(const BenchArgs& args, const std::string& name,
-                   const std::string& json_text);
 
 }  // namespace rwdom
 

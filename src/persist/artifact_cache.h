@@ -19,8 +19,9 @@
 //
 // Because an adopted index is bit-identical to what a rebuild would
 // produce (the key pins substrate + L + R + seed), warm-start changes
-// when work happens, never what answers say — bench_warm_start holds the
-// cold and warm byte streams equal.
+// when work happens, never what answers say —
+// ServerTest.CliServeWarmStartsFromCacheDir holds the cold and warm
+// byte streams equal.
 #ifndef RWDOM_PERSIST_ARTIFACT_CACHE_H_
 #define RWDOM_PERSIST_ARTIFACT_CACHE_H_
 

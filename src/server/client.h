@@ -1,7 +1,7 @@
 // Client side of the JSONL query protocol: connect to a running
 // `rwdom serve`, send request lines, read the one response line each
-// produces. Used by `rwdom client`, the multi-client smoke tests and
-// bench_serve_throughput.
+// produces. Used by `rwdom client`, the router and the multi-client
+// smoke tests.
 #ifndef RWDOM_SERVER_CLIENT_H_
 #define RWDOM_SERVER_CLIENT_H_
 

@@ -25,10 +25,10 @@
 // the key names the substrate by content fingerprint), so serving a query
 // from the cache — including an index recovered from a disk snapshot
 // (persist/artifact_cache.h) — is bit-identical to a cold rebuild; the
-// batch determinism tests and bench_warm_start pin this. The `problem`
-// (F1/F2) is deliberately NOT part of the key: the index stores first-hit
-// hop numbers, which Problem 1 consumes and Problem 2 ignores, so both
-// problems share one build (paper §3.3).
+// batch determinism tests and ServerTest.CliServeWarmStartsFromCacheDir
+// pin this. The `problem` (F1/F2) is deliberately NOT part of the key:
+// the index stores first-hit hop numbers, which Problem 1 consumes and
+// Problem 2 ignores, so both problems share one build (paper §3.3).
 //
 // CLI → service → core call chain: cli/cmd_*.cc parses flags into a
 // typed request (service/requests.h), acquires a QueryContext (fresh for

@@ -1,11 +1,9 @@
 // Minimal JSON support: a streaming writer and a strict parser.
 //
-// The writer started life as the bench drivers' machine-readable output
-// (BENCH_*.json artifacts need nesting that CSV cannot carry); the service
-// layer now also uses it for `--format=json` CLI output. The parser exists
-// for `rwdom batch` JSONL scripts. Both are deliberately tiny: objects,
-// arrays, strings, numbers, bools, null — RFC 8259 essentials, nothing
-// more (no comments, no trailing commas, no NaN/Inf).
+// The writer renders the service layer's `--format=json` CLI output. The
+// parser exists for `rwdom batch` JSONL scripts. Both are deliberately
+// tiny: objects, arrays, strings, numbers, bools, null — RFC 8259
+// essentials, nothing more (no comments, no trailing commas, no NaN/Inf).
 //
 // Writer usage:
 //   JsonWriter json;

@@ -4,6 +4,8 @@
 // streams and all floating-point reductions run in fixed node order.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/approx_greedy.h"
@@ -61,6 +63,64 @@ TEST(DeterminismTest, IndexBuildIsThreadCountInvariant) {
   const auto baseline = WithThreads(1, build);
   for (int threads : {2, 4, 8}) {
     EXPECT_EQ(WithThreads(threads, build), baseline)
+        << "threads=" << threads;
+  }
+}
+
+// FNV-1a over the little-endian bytes of one 64-bit word, the hash
+// bench_parallel_scaling prints as `index_hash` and `gains_hash`. Its
+// offset basis is not util/fingerprint.h's standard one, and the pinned
+// values below depend on it.
+uint64_t FnvMix(uint64_t h, uint64_t x) {
+  for (int b = 0; b < 8; ++b) {
+    h = (h ^ ((x >> (8 * b)) & 0xff)) * 1099511628211ull;
+  }
+  return h;
+}
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+// bench_parallel_scaling's quick configuration (ER n=20000 m=100000
+// seed 42, walk seed 43, L=6, R=20), pinned to exact 64-bit values.
+// Any change to walk sampling, inversion order or the F2 gain scan
+// moves one of them; a posting-layout change cannot, because the
+// index hash covers decoded postings.
+TEST(DeterminismTest, ParallelScalingOutputsArePinned) {
+  const Graph graph = GenerateErdosRenyiGnm(20000, 100000, 42).value();
+  struct Outputs {
+    int64_t index_entries;
+    int64_t index_hash;
+    int64_t gains_hash;
+  };
+  auto run = [&] {
+    RandomWalkSource source(&graph, 43);
+    const InvertedWalkIndex index = InvertedWalkIndex::Build(6, 20, &source);
+    uint64_t index_hash = kFnvOffset;
+    for (int32_t i = 0; i < index.num_replicates(); ++i) {
+      for (NodeId v = 0; v < index.num_nodes(); ++v) {
+        for (const InvertedWalkIndex::Entry& e : index.DecodeList(i, v)) {
+          index_hash = FnvMix(
+              index_hash,
+              (static_cast<uint64_t>(static_cast<uint32_t>(e.id)) << 32) |
+                  static_cast<uint32_t>(e.weight));
+        }
+      }
+    }
+    GainState state(&index, Problem::kDominatedCount);
+    std::vector<double> gains;
+    state.ApproxGainAll(&gains);
+    uint64_t gains_hash = kFnvOffset;
+    for (double g : gains) {
+      gains_hash = FnvMix(gains_hash, std::bit_cast<uint64_t>(g));
+    }
+    return Outputs{index.TotalEntries(), static_cast<int64_t>(index_hash),
+                   static_cast<int64_t>(gains_hash)};
+  };
+  for (int threads : {1, 4}) {
+    const Outputs outputs = WithThreads(threads, run);
+    EXPECT_EQ(outputs.index_entries, 2188255) << "threads=" << threads;
+    EXPECT_EQ(outputs.index_hash, -2406497079335921067)
+        << "threads=" << threads;
+    EXPECT_EQ(outputs.gains_hash, -3544888501928040989)
         << "threads=" << threads;
   }
 }

@@ -356,9 +356,14 @@ TEST_F(FaultInjectionTest, RetryingClientRidesOutASheddingServer) {
   options.retry_after_ms = 5;
   TestServer ts = StartServer(options);
 
+  // The held connection's select is served before any shedding: the
+  // bytes the retried select must reproduce.
   auto held = std::make_optional(
       *QueryClient::Connect("127.0.0.1", ts.server->port()));
-  ASSERT_TRUE(held->Roundtrip(kStatsLine).ok());
+  auto reference = held->Roundtrip(kSelectLine);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_NE(reference->find("\"command\":\"select\""), std::string::npos)
+      << *reference;
   auto queued = std::make_optional(
       *QueryClient::Connect("127.0.0.1", ts.server->port()));
 
@@ -376,16 +381,19 @@ TEST_F(FaultInjectionTest, RetryingClientRidesOutASheddingServer) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   };
   RetryingClient client("127.0.0.1", ts.server->port(), policy);
-  auto response = client.Roundtrip(kStatsLine);
+  auto response = client.Roundtrip(kSelectLine);
   ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_NE(response->find("\"server_stats\""), std::string::npos)
-      << *response;
-  EXPECT_NE(response->find("\"requests_shed\":"), std::string::npos)
-      << *response;
+  // Served degraded is still served exactly.
+  EXPECT_EQ(NormalizeSeconds(*response), NormalizeSeconds(*reference));
   EXPECT_GE(client.retries_performed(), 1);
   ASSERT_FALSE(waits.empty());
   // The server's hint floors the wait; jitter can only raise it.
   EXPECT_GE(waits[0], 5);
+
+  auto stats = client.Roundtrip(kStatsLine);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_NE(stats->find("\"requests_shed\":"), std::string::npos) << *stats;
+  EXPECT_EQ(stats->find("\"requests_shed\":0"), std::string::npos) << *stats;
 
   ts.server->Shutdown();
 }

@@ -1,9 +1,9 @@
 // End-to-end tests of `rwdom serve` / `rwdom client`: the acceptance
-// pin that 4 concurrent clients x 3 queries each against one server
-// produce responses bit-identical to cold CLI runs, with one graph load
-// and exactly one index build per distinct (L, R, seed) key — plus
-// protocol semantics (errors keep connections open, admin shutdown,
-// connection cap, CLI wiring).
+// pin that 4 and 64 concurrent clients x 3 queries each against one
+// server produce responses bit-identical to cold CLI runs, with one
+// graph load and exactly one index build per distinct (L, R, seed) key
+// — plus protocol semantics (errors keep connections open, admin
+// shutdown, connection cap, CLI wiring, warm start from --cache_dir).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cli/cli.h"
@@ -135,44 +136,52 @@ TEST_F(ServerTest, MultiClientSmokeMatchesColdRunsBitIdentically) {
     cold.push_back(NormalizeSeconds(out));
   }
 
-  TestServer ts = StartServer(/*threads=*/4);
   const std::vector<std::string> lines(std::begin(kAcceptanceLines),
                                        std::end(kAcceptanceLines));
 
-  // The acceptance pin: 4 concurrent clients x 3 queries each.
-  const int kClients = 4;
-  std::vector<std::vector<std::string>> responses(kClients);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      auto result = RunQueryLines("127.0.0.1", ts.server->port(), lines);
-      ASSERT_TRUE(result.ok()) << result.status();
-      responses[c] = std::move(*result);
-    });
-  }
-  for (std::thread& client : clients) client.join();
-
-  for (int c = 0; c < kClients; ++c) {
-    ASSERT_EQ(responses[c].size(), cold.size()) << "client " << c;
-    for (size_t i = 0; i < cold.size(); ++i) {
-      EXPECT_EQ(NormalizeSeconds(responses[c][i] + "\n"), cold[i])
-          << "client " << c << " query " << i;
+  // The acceptance pin: 4 concurrent clients x 3 queries each against
+  // 4 shards, then 64 clients (16 connections per shard) against a
+  // fresh server.
+  for (const int num_clients : {4, 64}) {
+    TestServer ts = StartServer(/*threads=*/4,
+                                /*max_connections=*/num_clients + 1);
+    std::vector<std::vector<std::string>> responses(num_clients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < num_clients; ++c) {
+      clients.emplace_back([&, c] {
+        auto result = RunQueryLines("127.0.0.1", ts.server->port(), lines);
+        ASSERT_TRUE(result.ok()) << result.status();
+        responses[c] = std::move(*result);
+      });
     }
+    for (std::thread& client : clients) client.join();
+
+    for (int c = 0; c < num_clients; ++c) {
+      ASSERT_EQ(responses[c].size(), cold.size())
+          << num_clients << " clients, client " << c;
+      for (size_t i = 0; i < cold.size(); ++i) {
+        EXPECT_EQ(NormalizeSeconds(responses[c][i] + "\n"), cold[i])
+            << num_clients << " clients, client " << c << " query " << i;
+      }
+    }
+
+    // One graph load, exactly one index build per distinct key (the
+    // workload uses a single (L=3, R=40, seed=42) key across all
+    // clients).
+    auto stats = RunQueryLines("127.0.0.1", ts.server->port(),
+                               {"{\"command\": \"server_stats\"}"});
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    const std::string& line = stats->front();
+    const std::string queries_ok =
+        "\"queries_ok\":" + std::to_string(num_clients * 3 + 1);
+    EXPECT_NE(line.find("\"graph_loads\":1"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"index_builds\":1"), std::string::npos) << line;
+    EXPECT_NE(line.find(queries_ok), std::string::npos) << line;
+    EXPECT_NE(line.find("\"queries_error\":0"), std::string::npos) << line;
+    EXPECT_EQ(ts.context->index_builds(), 1) << num_clients << " clients";
+
+    ts.server->Shutdown();
   }
-
-  // One graph load, exactly one index build per distinct key (the
-  // workload uses a single (L=3, R=40, seed=42) key across all clients).
-  auto stats = RunQueryLines("127.0.0.1", ts.server->port(),
-                             {"{\"command\": \"server_stats\"}"});
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  const std::string& line = stats->front();
-  EXPECT_NE(line.find("\"graph_loads\":1"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"index_builds\":1"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"queries_ok\":13"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"queries_error\":0"), std::string::npos) << line;
-  EXPECT_EQ(ts.context->index_builds(), 1);
-
-  ts.server->Shutdown();
 }
 
 TEST_F(ServerTest, GreetingAnnouncesProtocolVersionAndCapabilities) {
@@ -354,7 +363,8 @@ TEST_F(ServerTest, CliServeWarmStartsFromCacheDir) {
     ASSERT_TRUE(script.good());
   }
 
-  auto serve_once = [&]() -> std::pair<Status, std::string> {
+  // One boot: the server's status and summary, then the client's answers.
+  auto serve_once = [&]() -> std::tuple<Status, std::string, std::string> {
     std::remove(port_path_.c_str());
     std::pair<Status, std::string> serve_result;
     std::thread serve_thread([&] {
@@ -374,24 +384,28 @@ TEST_F(ServerTest, CliServeWarmStartsFromCacheDir) {
         RunCli({"client", script_path_, "--port=" + std::to_string(port)});
     serve_thread.join();
     EXPECT_TRUE(client_status.ok()) << client_status;
-    return serve_result;
+    return {serve_result.first, serve_result.second, client_out};
   };
 
   // Cold run: one build, one checkpoint into the cache dir.
-  auto [cold_status, cold_out] = serve_once();
+  auto [cold_status, cold_out, cold_answers] = serve_once();
   ASSERT_TRUE(cold_status.ok()) << cold_status;
   EXPECT_NE(cold_out.find("index builds=1"), std::string::npos) << cold_out;
   EXPECT_NE(cold_out.find("checkpoints=1"), std::string::npos) << cold_out;
+  EXPECT_NE(cold_answers.find("\"command\":\"select\""), std::string::npos)
+      << cold_answers;
 
   // Warm restart over the same cache dir: the snapshot is recovered at
-  // boot and the same select never builds — the PR's acceptance pin.
-  auto [warm_status, warm_out] = serve_once();
+  // boot, and the same select never builds yet answers with the cold
+  // boot's bytes.
+  auto [warm_status, warm_out, warm_answers] = serve_once();
   ASSERT_TRUE(warm_status.ok()) << warm_status;
   EXPECT_NE(warm_out.find("snapshots recovered=1"), std::string::npos)
       << warm_out;
   EXPECT_NE(warm_out.find("index builds=0"), std::string::npos) << warm_out;
   EXPECT_NE(warm_out.find("index recovered=1"), std::string::npos)
       << warm_out;
+  EXPECT_EQ(NormalizeSeconds(warm_answers), NormalizeSeconds(cold_answers));
 
   std::filesystem::remove_all(cache_dir);
 }

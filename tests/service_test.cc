@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -116,8 +118,10 @@ TEST(QueryContextTest, AdmissionEstimateBoundsBuiltAndReloadedIndexes) {
   // --max_cache_bytes refuses a build whose EstimatedIndexBytes exceeds
   // the budget, so the estimate must never undershoot a real index —
   // freshly built or reloaded from a snapshot.
-  const std::string path =
-      testing::TempDir() + "/rwdom_admission_bound.rwidx";
+  // The pid keeps this case and the service_test_suite alias, which
+  // `ctest -j` runs at the same time, off each other's file.
+  const std::string path = testing::TempDir() + "/rwdom_admission_bound_" +
+                           std::to_string(::getpid()) + ".rwidx";
   for (NodeId n : {2, 5, 40, 300, 1500}) {
     const int64_t m = std::min<int64_t>(3 * n, int64_t{n} * (n - 1) / 2);
     const Graph graph = GenerateErdosRenyiGnm(n, m, 7).value();

@@ -176,6 +176,13 @@ TEST_F(TenancyTest, MultiTenantServerMatchesIsolatedServersByteIdentical) {
           << " query " << query;
     }
   }
+  // Each tenant built its one (L, R, seed) key exactly once; the warm
+  // pass was all cache hits.
+  for (const std::string& name : tenant_names) {
+    auto resolved = multi.registry->Resolve(name);
+    ASSERT_TRUE(resolved.ok()) << resolved.status();
+    EXPECT_EQ(resolved->context->index_builds(), 1) << "tenant " << name;
+  }
   multi.server->Shutdown();
 }
 
