@@ -36,9 +36,14 @@ MinSeedCoverResult MinSeedCover(const TransitionModel& model, double alpha,
   }
   GainState state(prebuilt_index, Problem::kDominatedCount);
 
-  // CELF loop, terminating on coverage instead of cardinality.
+  // CELF loop, terminating on coverage instead of cardinality. Gains and
+  // coverage are exact int64 totals, R times their estimates: a running
+  // double sum drifts and can stop just short of a target it reached.
+  const double replicates =
+      static_cast<double>(prebuilt_index->num_replicates());
+  const double target_total = target * replicates;
   struct Entry {
-    double gain;
+    int64_t gain;
     NodeId node;
     int32_t round;
   };
@@ -49,26 +54,29 @@ MinSeedCoverResult MinSeedCover(const TransitionModel& model, double alpha,
     }
   };
   std::priority_queue<Entry, std::vector<Entry>, Less> heap;
-  for (NodeId u = 0; u < n; ++u) heap.push({state.ApproxGain(u), u, 0});
+  for (NodeId u = 0; u < n; ++u) {
+    heap.push({state.ApproxGainTotal(u), u, 0});
+  }
 
-  double coverage = state.EstimatedObjective();  // 0 for the empty set.
+  int64_t coverage = 0;  // F̂2 of the empty set.
   int32_t round = 0;
-  while (coverage < target && !heap.empty()) {
+  while (static_cast<double>(coverage) < target_total && !heap.empty()) {
     Entry top = heap.top();
     heap.pop();
     if (state.selected().Contains(top.node)) continue;
     if (top.round != round) {
-      heap.push({state.ApproxGain(top.node), top.node, round});
+      heap.push({state.ApproxGainTotal(top.node), top.node, round});
       continue;
     }
     state.Commit(top.node);
     coverage += top.gain;
     result.selected.push_back(top.node);
-    result.coverage_after_pick.push_back(coverage);
+    result.coverage_after_pick.push_back(static_cast<double>(coverage) /
+                                         replicates);
     ++round;
   }
 
-  result.reached_target = coverage >= target;
+  result.reached_target = static_cast<double>(coverage) >= target_total;
   result.seconds = timer.Seconds();
   return result;
 }

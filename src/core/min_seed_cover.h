@@ -24,8 +24,8 @@ struct MinSeedCoverResult {
   std::vector<NodeId> selected;
   /// F̂2 estimate after each pick (same length as `selected`).
   std::vector<double> coverage_after_pick;
-  /// True if the α·n threshold was reached (false only if every node was
-  /// selected and coverage still fell short, possible with isolated nodes).
+  /// True if F̂2 reached α·n. Coverage is summed exactly and every node
+  /// selected covers n >= α·n, so a finished run always reaches it.
   bool reached_target = false;
   double seconds = 0.0;
 };

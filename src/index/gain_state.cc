@@ -17,6 +17,11 @@ GainState::GainState(const InvertedWalkIndex* index, Problem problem)
 }
 
 double GainState::ApproxGain(NodeId u) const {
+  return static_cast<double>(ApproxGainTotal(u)) /
+         static_cast<double>(index_.num_replicates());
+}
+
+int64_t GainState::ApproxGainTotal(NodeId u) const {
   RWDOM_DCHECK(u >= 0 && u < index_.num_nodes());
   const int32_t replicates = index_.num_replicates();
   const size_t n = static_cast<size_t>(index_.num_nodes());
@@ -57,7 +62,7 @@ double GainState::ApproxGain(NodeId u) const {
       total += rho;
     }
   }
-  return static_cast<double>(total) / static_cast<double>(replicates);
+  return total;
 }
 
 void GainState::ApproxGainAll(std::vector<double>* gains) const {

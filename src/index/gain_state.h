@@ -35,6 +35,10 @@ class GainState {
   /// σ̂_u + L relative to the true marginal gain of F1 (constant shift).
   double ApproxGain(NodeId u) const;
 
+  /// ApproxGain(u) times the replicate count: the exact int64 sum that
+  /// ApproxGain divides by R once.
+  int64_t ApproxGainTotal(NodeId u) const;
+
   /// Algorithm 4 for every node at once: fills gains[u] = ApproxGain(u)
   /// for all u (including already-selected nodes — callers mask those).
   /// Evaluated in parallel; ApproxGain only reads D, so the result is

@@ -173,6 +173,8 @@ ServerStats QueryServer::stats() const {
     slice.substrate = graph.context->substrate().kind();
     slice.substrate_fingerprint = graph.context->substrate_fingerprint();
     slice.index_hits = graph.context->index_hits();
+    slice.metric_memo_hits = graph.context->metric_memo_hits();
+    slice.metric_memo_misses = graph.context->metric_memo_misses();
     slice.index_builds = graph.context->index_builds();
     slice.index_evictions = graph.context->index_evictions();
     slice.admission_rejections = graph.context->admission_rejections();
@@ -181,6 +183,8 @@ ServerStats QueryServer::stats() const {
         requests != graph_requests_.end() ? requests->second.load() : 0;
     stats.index_builds += slice.index_builds;
     stats.index_hits += slice.index_hits;
+    stats.metric_memo_hits += slice.metric_memo_hits;
+    stats.metric_memo_misses += slice.metric_memo_misses;
     stats.index_recovered += graph.context->index_recovered();
     stats.index_evictions += slice.index_evictions;
     stats.admission_rejections += slice.admission_rejections;
@@ -240,6 +244,8 @@ std::string QueryServer::StatsResponseLine(
   json.Key("graph_loads").Int(stats.graph_loads);
   json.Key("index_builds").Int(stats.index_builds);
   json.Key("index_hits").Int(stats.index_hits);
+  json.Key("metric_memo_hits").Int(stats.metric_memo_hits);
+  json.Key("metric_memo_misses").Int(stats.metric_memo_misses);
   json.Key("index_recovered").Int(stats.index_recovered);
   json.Key("cached_bytes").Int(stats.cached_bytes);
   json.Key("cached_index_bytes").Int(stats.cached_index_bytes);
@@ -280,6 +286,8 @@ std::string QueryServer::StatsResponseLine(
                                            graph.substrate_fingerprint)));
       json.Key("cached_index_bytes").Int(graph.cached_index_bytes);
       json.Key("index_hits").Int(graph.index_hits);
+      json.Key("metric_memo_hits").Int(graph.metric_memo_hits);
+      json.Key("metric_memo_misses").Int(graph.metric_memo_misses);
       json.Key("index_builds").Int(graph.index_builds);
       json.Key("index_evictions").Int(graph.index_evictions);
       json.Key("admission_rejections").Int(graph.admission_rejections);

@@ -97,6 +97,8 @@ struct GraphServeStats {
   uint64_t substrate_fingerprint = 0;
   int64_t cached_index_bytes = 0;
   int64_t index_hits = 0;
+  int64_t metric_memo_hits = 0;    ///< Select metric passes memoized.
+  int64_t metric_memo_misses = 0;  ///< Select metric passes computed.
   int64_t index_builds = 0;
   int64_t index_evictions = 0;
   int64_t admission_rejections = 0;
@@ -132,6 +134,8 @@ struct ServerStats {
   int64_t graph_loads = 1;
   int64_t index_builds = 0;
   int64_t index_hits = 0;
+  int64_t metric_memo_hits = 0;
+  int64_t metric_memo_misses = 0;
   int64_t index_recovered = 0;  ///< Indexes adopted from disk snapshots.
   int64_t cached_bytes = 0;
   /// What the cached indexes would occupy in the former raw-CSR layout

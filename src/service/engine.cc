@@ -1,7 +1,9 @@
 #include "service/engine.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/approx_greedy.h"
 #include "core/min_seed_cover.h"
@@ -64,9 +66,11 @@ Result<SelectResponse> Select(QueryContext& context,
   response.length = request.params.length;
   response.metric_samples = kSelectMetricSamples;
 
-  MetricsResult metrics = SampledMetrics(
-      context.substrate().model(), response.seeds, request.params.length,
-      kSelectMetricSamples, request.params.seed + 1);
+  // The metric pass depends only on the seed set, so a repeated select
+  // reads it from the context's memo instead of re-running its walks.
+  MetricsResult metrics = context.MemoizedSampledMetrics(
+      response.seeds, request.params.length, kSelectMetricSamples,
+      request.params.seed + 1);
   response.aht = metrics.aht;
   response.ehn = metrics.ehn;
 
@@ -77,6 +81,14 @@ Result<EvaluateResponse> Evaluate(QueryContext& context,
                                   const EvaluateRequest& request) {
   for (NodeId seed_node : request.seeds) {
     RWDOM_RETURN_IF_ERROR(ValidateNode(context, seed_node, "seed"));
+  }
+  // The metrics score a seed *set*; a repeat would make "k" overstate it.
+  std::vector<NodeId> sorted = request.seeds;
+  std::sort(sorted.begin(), sorted.end());
+  auto repeat = std::adjacent_find(sorted.begin(), sorted.end());
+  if (repeat != sorted.end()) {
+    return Status::InvalidArgument(StrFormat(
+        "seed %lld repeated", static_cast<long long>(*repeat)));
   }
   if (request.num_samples < 1) {
     return Status::InvalidArgument("metric sample count must be >= 1");

@@ -1,5 +1,6 @@
 #include "service/query_context.h"
 
+#include <algorithm>
 #include <mutex>
 #include <utility>
 
@@ -252,6 +253,52 @@ const SubstrateStats& QueryContext::Stats() {
   std::unique_lock<std::shared_mutex> lock(mutex_);
   if (!stats_.has_value()) stats_ = std::move(stats);
   return *stats_;
+}
+
+int64_t QueryContext::MetricMemoEntryBytes(const MetricMemoKey& key) {
+  return static_cast<int64_t>(sizeof(MetricMemo::value_type) +
+                              key.seeds.size() * sizeof(NodeId));
+}
+
+MetricsResult QueryContext::MemoizedSampledMetrics(
+    const std::vector<NodeId>& seeds, int32_t length, int32_t num_samples,
+    uint64_t seed) {
+  MetricMemoKey key{length, num_samples, seed, seeds};
+  std::sort(key.seeds.begin(), key.seeds.end());
+  key.seeds.erase(std::unique(key.seeds.begin(), key.seeds.end()),
+                  key.seeds.end());
+  {
+    std::lock_guard<std::mutex> lock(metric_memo_mutex_);
+    auto it = metric_memo_.find(key);
+    if (it != metric_memo_.end()) {
+      ++metric_memo_hits_;
+      return it->second;
+    }
+  }
+  ++metric_memo_misses_;
+  const MetricsResult metrics =
+      SampledMetrics(substrate().model(), seeds, length, num_samples, seed);
+  const int64_t bytes = MetricMemoEntryBytes(key);
+  if (bytes > kMetricMemoMaxBytes) return metrics;
+  std::lock_guard<std::mutex> lock(metric_memo_mutex_);
+  auto [it, inserted] = metric_memo_.try_emplace(std::move(key), metrics);
+  if (inserted) {
+    metric_memo_order_.push_back(it);
+    metric_memo_bytes_ += bytes;
+    // The new entry fits the cap on its own, so this stops before it.
+    while (metric_memo_bytes_ > kMetricMemoMaxBytes) {
+      const MetricMemo::iterator oldest = metric_memo_order_.front();
+      metric_memo_order_.pop_front();
+      metric_memo_bytes_ -= MetricMemoEntryBytes(oldest->first);
+      metric_memo_.erase(oldest);
+    }
+  }
+  return metrics;
+}
+
+int64_t QueryContext::metric_memo_bytes() const {
+  std::lock_guard<std::mutex> lock(metric_memo_mutex_);
+  return metric_memo_bytes_;
 }
 
 std::vector<ArtifactUsage> QueryContext::MemoryUsage() const {

@@ -16,6 +16,8 @@
 //                        (L, R, seed,          --with_index / knn sampled*
 //                         substrate fp)
 //   stats summary        (substrate identity)  stats
+//   select metric memo   (L, R, metric seed,   select (its post-hoc R=500
+//                         sorted seed set)      metric pass)
 //
 //   *sampled knn draws fresh walks rather than reading the index; only
 //    the index-backed commands hit the index cache.
@@ -39,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -48,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/metrics.h"
 #include "graph/properties.h"
 #include "index/inverted_walk_index.h"
 #include "service/artifact_key.h"
@@ -106,13 +110,14 @@ struct PersistenceInfo {
 /// many requests (service/engine.h); every expensive artifact is built at
 /// most once per cache key.
 ///
-/// Thread safety: all query-path methods (GetIndex, Stats, MemoryUsage,
-/// TotalMemoryBytes, counters, persistence()) are safe to call from many
-/// threads at once — the server's workers share one context. The artifact
-/// map is guarded by a shared_mutex and cache misses coalesce through a
-/// single-flight group: N concurrent misses on one key trigger exactly
-/// one build, with the other N-1 callers blocking on it, so concurrent
-/// responses stay bit-identical to cold serial runs. Distinct keys build
+/// Thread safety: all query-path methods (GetIndex, Stats,
+/// MemoizedSampledMetrics, MemoryUsage, TotalMemoryBytes, counters,
+/// persistence()) are safe to call from many threads at once — the
+/// server's workers share one context. The artifact map is guarded by a
+/// shared_mutex and cache misses coalesce through a single-flight group:
+/// N concurrent misses on one key trigger exactly one build, with the
+/// other N-1 callers blocking on it, so concurrent responses stay
+/// bit-identical to cold serial runs. Distinct keys build
 /// concurrently. set_index_build_hook and EvictIndexes are control-plane
 /// calls; the hook itself may fire concurrently (once per distinct
 /// in-flight key) and must be thread-safe. Not movable, not copyable.
@@ -243,6 +248,32 @@ class QueryContext {
   /// The memoized structural summary, computing it on first use.
   const SubstrateStats& Stats();
 
+  // --- The select metric memo. ---
+
+  /// Cap on the bytes the select metric memo stores: each entry costs one
+  /// key/value pair plus its seed ids, and the oldest entries are evicted
+  /// first. An entry larger than the whole cap is never stored.
+  static constexpr int64_t kMetricMemoMaxBytes = int64_t{1} << 18;
+
+  /// SampledMetrics(model, seeds, length, num_samples, seed) over this
+  /// substrate (eval/metrics.h), memoized. The metrics are a pure function
+  /// of (length, num_samples, seed, the set of seeds), so a hit returns
+  /// the stored value, bit-identical to recomputing it, without drawing a
+  /// walk. A miss computes with no lock held, then inserts; two concurrent
+  /// misses on one key both compute the same value and the first insert
+  /// wins.
+  MetricsResult MemoizedSampledMetrics(const std::vector<NodeId>& seeds,
+                                       int32_t length, int32_t num_samples,
+                                       uint64_t seed);
+
+  /// MemoizedSampledMetrics calls answered from the memo / computed; their
+  /// sum is the number of calls.
+  int64_t metric_memo_hits() const { return metric_memo_hits_.load(); }
+  int64_t metric_memo_misses() const { return metric_memo_misses_.load(); }
+
+  /// Bytes the memo holds now, as charged against kMetricMemoMaxBytes.
+  int64_t metric_memo_bytes() const;
+
   /// Byte accounting, one row per resident artifact: always "graph",
   /// plus one row per cached index. Rows appear in deterministic (key)
   /// order.
@@ -301,6 +332,19 @@ class QueryContext {
   /// evicting a freshly hot entry.
   bool EvictCachedEntry(const ArtifactKey& key, const uint64_t* expected_use);
 
+  /// A memoized metric pass: everything SampledMetrics reads besides the
+  /// substrate, with the seeds as a set (sorted, no repeats).
+  struct MetricMemoKey {
+    int32_t length = 0;
+    int32_t num_samples = 0;
+    uint64_t seed = 0;
+    std::vector<NodeId> seeds;
+    auto operator<=>(const MetricMemoKey&) const = default;
+  };
+  using MetricMemo = std::map<MetricMemoKey, MetricsResult>;
+  /// What one entry charges against kMetricMemoMaxBytes.
+  static int64_t MetricMemoEntryBytes(const MetricMemoKey& key);
+
   LoadedSubstrate loaded_;
   uint64_t substrate_fingerprint_ = 0;
   /// Guards index_cache_ and stats_ (readers shared, writers exclusive).
@@ -319,6 +363,14 @@ class QueryContext {
   std::string graph_name_;
   IndexBuildHook index_build_hook_;
   std::optional<SubstrateStats> stats_;
+  /// Guards the memo, its insertion order and its byte count. Never held
+  /// across a metric pass.
+  mutable std::mutex metric_memo_mutex_;
+  MetricMemo metric_memo_;
+  std::deque<MetricMemo::iterator> metric_memo_order_;  ///< Oldest first.
+  int64_t metric_memo_bytes_ = 0;
+  std::atomic<int64_t> metric_memo_hits_{0};
+  std::atomic<int64_t> metric_memo_misses_{0};
   /// Guards persistence_ (low-traffic control-plane data; separate from
   /// mutex_ so stats reads never contend with the query path).
   mutable std::mutex persist_mutex_;

@@ -2,10 +2,13 @@
 // edge-traversal domination.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/edge_domination.h"
 #include "core/min_seed_cover.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "wgraph/substrate.h"
 
 namespace rwdom {
 namespace {
@@ -62,6 +65,32 @@ TEST(MinSeedCoverTest, CoverageTrajectoryIsNondecreasing) {
   // Trajectory consistency: last coverage >= alpha * n.
   ASSERT_FALSE(result.coverage_after_pick.empty());
   EXPECT_GE(result.coverage_after_pick.back(), 0.8 * 50 - 1e-9);
+}
+
+TEST(MinSeedCoverTest, FullAlphaStopsAtTheTargetWithoutDrift) {
+  // `rwdom generate --model=plc --n=50 --m=200 --seed=1`, loaded back the
+  // way `rwdom cover` loads it, with cover's default L, R and seed. Summed
+  // as doubles, the gains here end at 49.999999999999993 < 50, so the
+  // cover used to add zero-gain nodes up to all 50 and miss the target.
+  const Graph generated = GeneratePowerLawCommunity(50, 200, 16, 0.08, 1)
+                              .value();
+  std::string edge_list;
+  for (NodeId u = 0; u < generated.num_nodes(); ++u) {
+    for (NodeId v : generated.neighbors(u)) {
+      if (u < v) edge_list += std::to_string(u) + " " + std::to_string(v) +
+                              "\n";
+    }
+  }
+  auto loaded = ParseSubstrate(edge_list);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ApproxGreedyOptions options{
+      .length = 6, .num_replicates = 100, .seed = 42, .lazy = true};
+  MinSeedCoverResult result =
+      MinSeedCover(loaded->substrate.model(), 1.0, options);
+  EXPECT_TRUE(result.reached_target);
+  EXPECT_EQ(result.selected.size(), 24u);
+  ASSERT_FALSE(result.coverage_after_pick.empty());
+  EXPECT_EQ(result.coverage_after_pick.back(), 50.0);
 }
 
 TEST(MinSeedCoverTest, HigherAlphaNeedsAtLeastAsManySeeds) {

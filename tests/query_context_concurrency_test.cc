@@ -4,6 +4,7 @@
 // byte-identical to serial dispatch on a fresh context.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
@@ -149,6 +150,15 @@ TEST(QueryContextConcurrencyTest,
   }
   // Two distinct (L, R, seed) keys -> exactly two builds total.
   EXPECT_EQ(warm.index_builds(), 2);
+  // Every select's metric pass was memoized or computed, never both.
+  const int64_t selects_dispatched =
+      kThreads * std::count_if(workload.begin(), workload.end(),
+                               [](const ServiceRequest& request) {
+                                 return std::holds_alternative<SelectRequest>(
+                                     request);
+                               });
+  EXPECT_EQ(warm.metric_memo_hits() + warm.metric_memo_misses(),
+            selects_dispatched);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 
@@ -159,6 +160,47 @@ TEST(QueryContextTest, StatsAreMemoized) {
   EXPECT_EQ(&context.Stats(), &first);  // Same object, not recomputed.
 }
 
+TEST(QueryContextTest, MetricMemoStaysUnderItsByteCap) {
+  const Graph cycle = GenerateCycle(256);
+  QueryContext context{GraphSubstrate(cycle)};
+  std::vector<NodeId> seeds(200);
+  std::iota(seeds.begin(), seeds.end(), 0);
+  const MetricsResult first = context.MemoizedSampledMetrics(seeds, 3, 1, 0);
+  const int64_t entry_bytes = context.metric_memo_bytes();
+  ASSERT_GT(entry_bytes, 0);
+  // One entry past what fits: the oldest (metric seed 0) is evicted.
+  const int64_t fits = QueryContext::kMetricMemoMaxBytes / entry_bytes;
+  for (int64_t seed = 1; seed <= fits; ++seed) {
+    context.MemoizedSampledMetrics(seeds, 3, 1, static_cast<uint64_t>(seed));
+    ASSERT_LE(context.metric_memo_bytes(), QueryContext::kMetricMemoMaxBytes);
+  }
+  EXPECT_EQ(context.metric_memo_bytes(), fits * entry_bytes);
+  EXPECT_EQ(context.metric_memo_hits(), 0);
+  EXPECT_EQ(context.metric_memo_misses(), fits + 1);
+
+  // The evicted key is recomputed, to the identical value.
+  const MetricsResult again = context.MemoizedSampledMetrics(seeds, 3, 1, 0);
+  EXPECT_EQ(context.metric_memo_misses(), fits + 2);
+  EXPECT_EQ(again.aht, first.aht);
+  EXPECT_EQ(again.ehn, first.ehn);
+  // The key is the seed set: another order of the newest set is a hit.
+  std::reverse(seeds.begin(), seeds.end());
+  context.MemoizedSampledMetrics(seeds, 3, 1, static_cast<uint64_t>(fits));
+  EXPECT_EQ(context.metric_memo_hits(), 1);
+
+  // A seed set larger than the whole cap is computed but never stored.
+  const Graph big_cycle =
+      GenerateCycle(static_cast<NodeId>(QueryContext::kMetricMemoMaxBytes /
+                                        static_cast<int64_t>(sizeof(NodeId))));
+  QueryContext big{GraphSubstrate(big_cycle)};
+  std::vector<NodeId> every_node(static_cast<size_t>(big_cycle.num_nodes()));
+  std::iota(every_node.begin(), every_node.end(), 0);
+  big.MemoizedSampledMetrics(every_node, 3, 1, 0);
+  big.MemoizedSampledMetrics(every_node, 3, 1, 0);
+  EXPECT_EQ(big.metric_memo_bytes(), 0);
+  EXPECT_EQ(big.metric_memo_misses(), 2);
+}
+
 TEST(ServiceEngineTest, WarmSelectIsBitIdenticalToColdSelect) {
   for (bool weighted : {false, true}) {
     GraphSubstrate cold_substrate =
@@ -183,8 +225,17 @@ TEST(ServiceEngineTest, WarmSelectIsBitIdenticalToColdSelect) {
     EXPECT_EQ(first->seeds, cold.selected);
     EXPECT_EQ(second->seeds, cold.selected);
     EXPECT_EQ(first->gains, cold.gains);
-    EXPECT_EQ(first->aht, second->aht);
-    EXPECT_EQ(first->ehn, second->ehn);
+    // The second select's metric pass is one memo hit, and the memoized
+    // metrics equal a direct run of the R=500 protocol.
+    EXPECT_EQ(context.metric_memo_hits(), 1);
+    EXPECT_EQ(context.metric_memo_misses(), 1);
+    const MetricsResult direct = SampledMetrics(
+        cold_substrate.model(), cold.selected, params.length, 500,
+        params.seed + 1);
+    EXPECT_EQ(first->aht, direct.aht);
+    EXPECT_EQ(first->ehn, direct.ehn);
+    EXPECT_EQ(second->aht, direct.aht);
+    EXPECT_EQ(second->ehn, direct.ehn);
   }
 }
 
@@ -215,6 +266,13 @@ TEST(ServiceEngineTest, ValidatesRequests) {
   bad_seed.seeds = {99};
   EXPECT_EQ(Evaluate(context, bad_seed).status().code(),
             StatusCode::kOutOfRange);
+
+  EvaluateRequest repeated_seed;
+  repeated_seed.seeds = {1, 2, 1};
+  const Status repeated = Evaluate(context, repeated_seed).status();
+  EXPECT_EQ(repeated.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(repeated.message().find("seed 1 repeated"), std::string::npos)
+      << repeated;
 
   KnnRequest bad_query;
   bad_query.query = -1;
