@@ -24,16 +24,22 @@ const Graph& BenchGraph() {
   return *kGraph;
 }
 
+// Times one stream walk per iteration, as the index build and the sampled
+// evaluator draw them: the per-(node, stream) RNG seeding plus L steps.
 void BM_RandomWalkSampling(benchmark::State& state) {
   const Graph& graph = BenchGraph();
   const int32_t length = static_cast<int32_t>(state.range(0));
   RandomWalkSource source(&graph, 7);
   std::vector<NodeId> walk;
   NodeId start = 0;
+  uint64_t stream = 0;
   for (auto _ : state) {
-    source.SampleWalk(start, length, &walk);
+    source.SampleWalkStream(start, stream, length, &walk);
     benchmark::DoNotOptimize(walk.data());
-    start = (start + 1) % graph.num_nodes();
+    if (++start == graph.num_nodes()) {
+      start = 0;
+      ++stream;
+    }
   }
   state.SetItemsProcessed(state.iterations() * length);
 }

@@ -20,6 +20,7 @@
 #include "graph/generators.h"
 #include "graph/node_set.h"
 #include "graph/properties.h"
+#include "util/rng.h"
 #include "util/table_printer.h"
 #include "util/strings.h"
 #include "walk/walk_source.h"
@@ -40,7 +41,8 @@ TrafficReport SimulateSearch(const Graph& graph,
                              int32_t ttl, int32_t queries_per_peer,
                              uint64_t seed) {
   NodeFlagSet replica_set(graph.num_nodes(), replicas);
-  RandomWalkSource source(&graph, seed);
+  UniformTransitionModel model(&graph);
+  Rng rng(seed);
   std::vector<NodeId> walk;
   std::vector<std::pair<NodeId, NodeId>> links;
   int64_t total_queries = 0, successes = 0;
@@ -48,7 +50,7 @@ TrafficReport SimulateSearch(const Graph& graph,
   for (NodeId peer = 0; peer < graph.num_nodes(); ++peer) {
     if (replica_set.Contains(peer)) continue;
     for (int32_t q = 0; q < queries_per_peer; ++q) {
-      source.SampleWalk(peer, ttl, &walk);
+      DrawWalk(model, &rng, peer, ttl, &walk);
       ++total_queries;
       links.clear();
       bool found = false;

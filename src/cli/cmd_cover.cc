@@ -17,7 +17,7 @@ Status RunCover(const CommandEnv& env) {
                          ResolveSelectorParams(env.invocation));
   RWDOM_ASSIGN_OR_RETURN(request.alpha,
                          DoubleFlagOr(env.invocation, "alpha", 0.9));
-  if (request.alpha < 0.0 || request.alpha > 1.0) {
+  if (!(request.alpha >= 0.0 && request.alpha <= 1.0)) {  // Rejects NaN.
     return Status::InvalidArgument("--alpha must be in [0, 1]");
   }
 

@@ -1,5 +1,6 @@
 #include "cli/flag_parsing.h"
 
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -40,6 +41,12 @@ Result<double> DoubleFlagOr(const CliInvocation& invocation,
   auto it = invocation.flags.find(key);
   if (it == invocation.flags.end()) return fallback;
   RWDOM_ASSIGN_OR_RETURN(double value, ParseDouble(it->second));
+  // strtod accepts "nan" and "inf"; no double flag wants either, and a NaN
+  // slips past every range guard written as `x < lo || x > hi`.
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument("--" + key + " must be finite, got: " +
+                                   it->second);
+  }
   return value;
 }
 

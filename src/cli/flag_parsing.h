@@ -29,7 +29,8 @@ std::string FlagOr(const CliInvocation& invocation, const std::string& key,
 std::vector<std::string> RepeatedFlagValues(const CliInvocation& invocation,
                                             const std::string& key);
 
-/// Typed variants; parse errors are InvalidArgument.
+/// Typed variants; parse errors are InvalidArgument. DoubleFlagOr also
+/// rejects NaN and infinities.
 Result<int64_t> IntFlagOr(const CliInvocation& invocation,
                           const std::string& key, int64_t fallback);
 Result<double> DoubleFlagOr(const CliInvocation& invocation,

@@ -106,7 +106,8 @@ ApproxGreedy::ApproxGreedy(const Graph* graph, Problem problem,
 }
 
 ApproxGreedy::ApproxGreedy(const Graph* graph, Problem problem,
-                           ApproxGreedyOptions options, WalkSource* source)
+                           ApproxGreedyOptions options,
+                           const WalkSource* source)
     : ApproxGreedy(graph, problem, options) {
   external_source_ = source;
 }

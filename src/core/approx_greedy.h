@@ -52,10 +52,11 @@ class ApproxGreedy final : public Selector {
                ApproxGreedyOptions options);
 
   /// Test/advanced constructor: walks for the index come from `source`
-  /// (e.g. a FixedWalkSource replaying scripted walks). `source` must
-  /// outlive this object and is consumed by the next Select() only.
+  /// (e.g. a FixedWalkSource replaying scripted walks) instead of
+  /// TransitionWalkSource(model, options.seed). `source` must outlive this
+  /// object; every Select() rebuilds the same index from it.
   ApproxGreedy(const Graph* graph, Problem problem,
-               ApproxGreedyOptions options, WalkSource* source);
+               ApproxGreedyOptions options, const WalkSource* source);
 
   SelectionResult Select(int32_t k) override;
   std::string name() const override;
@@ -81,7 +82,7 @@ class ApproxGreedy final : public Selector {
   TransitionModelRef model_;
   Problem problem_;
   ApproxGreedyOptions options_;
-  WalkSource* external_source_;  // Not owned; may be null.
+  const WalkSource* external_source_;  // Not owned; may be null.
   std::shared_ptr<const InvertedWalkIndex> prebuilt_index_;
   std::shared_ptr<const InvertedWalkIndex> index_;
   int64_t num_evaluations_ = 0;

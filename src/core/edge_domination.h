@@ -40,9 +40,6 @@ class EdgeDominationObjective final : public Objective {
 
   NodeId universe_size() const override { return model_->num_nodes(); }
   double Value(const NodeFlagSet& s) const override;
-  bool parallel_safe() const override {
-    return source_.has_deterministic_streams();
-  }
   std::string name() const override { return "EdgeDomination-sampled"; }
 
   int32_t length() const { return length_; }
@@ -51,7 +48,7 @@ class EdgeDominationObjective final : public Objective {
   TransitionModelRef model_;
   int32_t length_;
   int32_t num_samples_;
-  mutable TransitionWalkSource source_;
+  TransitionWalkSource source_;
 };
 
 /// Greedy seed selection under F_edge.

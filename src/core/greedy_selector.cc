@@ -44,7 +44,6 @@ SelectionResult GreedySelector::Select(int32_t k) {
 SelectionResult GreedySelector::SelectPlain(int32_t k) {
   WallTimer timer;
   const NodeId n = objective_.universe_size();
-  const bool parallel = objective_.parallel_safe();
   NodeFlagSet selected(n);
   SelectionResult result;
   double current_value = objective_.Value(selected);
@@ -53,31 +52,22 @@ SelectionResult GreedySelector::SelectPlain(int32_t k) {
   std::vector<double> value_with(static_cast<size_t>(n));
   const int32_t budget = std::min<int64_t>(k, n);
   for (int32_t round = 0; round < budget; ++round) {
-    if (parallel) {
-      // Evaluate every candidate concurrently, then reduce serially in node
-      // order — same lowest-id tie-breaking (and therefore same selection)
-      // as the sequential scan, for any thread count.
-      ParallelFor(0, n, [&](int64_t u) {
-        value_with[static_cast<size_t>(u)] =
-            selected.Contains(static_cast<NodeId>(u))
-                ? kNotEvaluated
-                : objective_.ValueWithExtra(selected,
-                                            static_cast<NodeId>(u));
-      });
-      num_evaluations_ += n - static_cast<int64_t>(selected.size());
-    }
+    // Evaluate every candidate concurrently, then reduce serially in node
+    // order: lowest-id tie-breaking, and therefore the same selection, for
+    // any thread count.
+    ParallelFor(0, n, [&](int64_t u) {
+      value_with[static_cast<size_t>(u)] =
+          selected.Contains(static_cast<NodeId>(u))
+              ? kNotEvaluated
+              : objective_.ValueWithExtra(selected, static_cast<NodeId>(u));
+    });
+    num_evaluations_ += n - static_cast<int64_t>(selected.size());
     NodeId best_node = kInvalidNode;
     double best_value = 0.0;
     double best_gain = 0.0;
     for (NodeId u = 0; u < n; ++u) {
       if (selected.Contains(u)) continue;
-      double value_with_u;
-      if (parallel) {
-        value_with_u = value_with[static_cast<size_t>(u)];
-      } else {
-        value_with_u = objective_.ValueWithExtra(selected, u);
-        ++num_evaluations_;
-      }
+      const double value_with_u = value_with[static_cast<size_t>(u)];
       double gain = value_with_u - current_value;
       if (best_node == kInvalidNode || gain > best_gain) {
         best_node = u;
@@ -105,20 +95,13 @@ SelectionResult GreedySelector::SelectLazy(int32_t k) {
   ++num_evaluations_;
 
   // First-round gains for every node; the only full scan CELF performs, so
-  // it is the one worth parallelizing for thread-safe oracles.
+  // it is the one worth parallelizing.
   std::vector<double> initial_gain(static_cast<size_t>(n));
-  if (objective_.parallel_safe()) {
-    ParallelFor(0, n, [&](int64_t u) {
-      initial_gain[static_cast<size_t>(u)] =
-          objective_.ValueWithExtra(selected, static_cast<NodeId>(u)) -
-          current_value;
-    });
-  } else {
-    for (NodeId u = 0; u < n; ++u) {
-      initial_gain[static_cast<size_t>(u)] =
-          objective_.ValueWithExtra(selected, u) - current_value;
-    }
-  }
+  ParallelFor(0, n, [&](int64_t u) {
+    initial_gain[static_cast<size_t>(u)] =
+        objective_.ValueWithExtra(selected, static_cast<NodeId>(u)) -
+        current_value;
+  });
   num_evaluations_ += n;
 
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap;

@@ -12,6 +12,9 @@ namespace rwdom {
 
 /// Value oracle for a set function. Implementations: ExactObjective (DP),
 /// SampledObjective (Algorithm 2), and the edge-domination extension.
+/// Every implementation is a pure const function of its arguments: the
+/// greedy selectors call Value / ValueWithExtra concurrently from many
+/// threads and rely on results that do not depend on call order.
 class Objective {
  public:
   virtual ~Objective() = default;
@@ -25,13 +28,6 @@ class Objective {
   /// F(S ∪ {u}) without materializing the union. Default delegates to a
   /// copy; DP-backed objectives override with a zero-copy variant.
   virtual double ValueWithExtra(const NodeFlagSet& s, NodeId u) const;
-
-  /// True when Value / ValueWithExtra may be called concurrently from
-  /// multiple threads AND return values that do not depend on call order.
-  /// The greedy selectors parallelize their candidate scans only for such
-  /// oracles; anything with shared mutable state (DP scratch buffers,
-  /// sequential RNG draws) must keep the default `false`.
-  virtual bool parallel_safe() const { return false; }
 
   /// Marginal gain F(S ∪ {u}) - F(S), given the precomputed F(S).
   double MarginalGain(const NodeFlagSet& s, double value_of_s,

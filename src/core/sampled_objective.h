@@ -22,9 +22,7 @@
 namespace rwdom {
 
 /// Monte-Carlo F̂(S) over any TransitionModel. Value() samples through the
-/// unified walk engine's deterministic streams, never its shared RNG state
-/// — the mutable source only reflects the WalkSource interface being
-/// non-const.
+/// unified walk engine's deterministic streams.
 class SampledObjective final : public Objective {
  public:
   /// `model` must outlive this object.
@@ -36,9 +34,6 @@ class SampledObjective final : public Objective {
 
   NodeId universe_size() const override { return model_->num_nodes(); }
   double Value(const NodeFlagSet& s) const override;
-  bool parallel_safe() const override {
-    return source_.has_deterministic_streams();
-  }
   std::string name() const override;
 
   int32_t length() const { return evaluator_.length(); }
@@ -48,7 +43,7 @@ class SampledObjective final : public Objective {
   TransitionModelRef model_;
   Problem problem_;
   SampledEvaluator evaluator_;
-  mutable TransitionWalkSource source_;
+  TransitionWalkSource source_;
 };
 
 }  // namespace rwdom

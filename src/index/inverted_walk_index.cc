@@ -27,20 +27,18 @@ size_t MaxPostings(int64_t num_walks, int32_t length, NodeId n) {
 // Inverts the walks of nodes [node_begin, node_end) for one replicate into
 // `raw` (appended in node order), counting postings per target into
 // `counts` (size n, zero-initialized by the caller). `visited_stamp` is
-// n-sized scratch holding values < *stamp on entry.
-void InvertWalkRange(WalkSource* source, int32_t replicate, int32_t length,
-                     NodeId node_begin, NodeId node_end, bool use_streams,
+// n-sized scratch holding values < *stamp on entry: visited_stamp[v] ==
+// the current walk's stamp <=> v was already seen by this walk, which
+// avoids clearing an n-sized array per walk (Alg. 3's visited[]).
+void InvertWalkRange(const WalkSource& source, int32_t replicate,
+                     int32_t length, NodeId node_begin, NodeId node_end,
                      std::vector<int64_t>* visited_stamp, int64_t* stamp,
                      std::vector<RawPosting>* raw,
                      std::vector<int64_t>* counts) {
   std::vector<NodeId> trajectory;
   for (NodeId w = node_begin; w < node_end; ++w) {
-    if (use_streams) {
-      source->SampleWalkStream(w, static_cast<uint64_t>(replicate), length,
-                               &trajectory);
-    } else {
-      source->SampleWalk(w, length, &trajectory);
-    }
+    source.SampleWalkStream(w, static_cast<uint64_t>(replicate), length,
+                            &trajectory);
     RWDOM_DCHECK(!trajectory.empty() && trajectory.front() == w);
     const int64_t my_stamp = (*stamp)++;
     (*visited_stamp)[static_cast<size_t>(w)] = my_stamp;
@@ -87,57 +85,13 @@ InvertedWalkIndex::Replicate InvertedWalkIndex::Compress(
 
 InvertedWalkIndex InvertedWalkIndex::Build(int32_t length,
                                            int32_t num_replicates,
-                                           WalkSource* source) {
+                                           const WalkSource* source) {
   RWDOM_CHECK_GE(length, 0);
   RWDOM_CHECK_GE(num_replicates, 1);
   const NodeId n = source->num_nodes();
   const int32_t weight_bits = PostingWeightBits(length);
-  const bool streams = source->has_deterministic_streams();
 
   std::vector<Replicate> replicates(static_cast<size_t>(num_replicates));
-
-  // Counting sort of one replicate's raw postings (in ascending-source
-  // order) into a transient CSR; `counts` holds per-target totals. The
-  // caller compresses the CSR away immediately, so at most one (per
-  // thread) uncompressed replicate is ever resident.
-  const auto build_csr = [n](const std::vector<RawPosting>& raw,
-                             const std::vector<int64_t>& counts,
-                             RawReplicate* rep) {
-    rep->offsets.assign(static_cast<size_t>(n) + 1, 0);
-    for (size_t v = 0; v < static_cast<size_t>(n); ++v) {
-      rep->offsets[v + 1] = rep->offsets[v] + counts[v];
-    }
-    rep->entries.resize(raw.size());
-    std::vector<int64_t> cursor(rep->offsets.begin(),
-                                rep->offsets.end() - 1);
-    for (const RawPosting& p : raw) {
-      rep->entries[static_cast<size_t>(
-          cursor[static_cast<size_t>(p.target)]++)] = {p.source, p.hop};
-    }
-  };
-
-  if (!streams) {
-    // Sequential fallback for shared-state sources (FixedWalkSource, test
-    // wrappers): walks are drawn replicate-major then node-major, matching
-    // the historical call order exactly.
-    // visited_stamp[v] == current walk's stamp  <=>  v already seen by this
-    // walk; avoids clearing an n-sized array per walk (Alg. 3's visited[]).
-    std::vector<int64_t> visited_stamp(static_cast<size_t>(n), -1);
-    int64_t stamp = 0;
-    std::vector<RawPosting> raw;
-    raw.reserve(MaxPostings(n, length, n));
-    std::vector<int64_t> counts;
-    RawReplicate csr;
-    for (int32_t i = 0; i < num_replicates; ++i) {
-      raw.clear();
-      counts.assign(static_cast<size_t>(n), 0);
-      InvertWalkRange(source, i, length, 0, n, /*use_streams=*/false,
-                      &visited_stamp, &stamp, &raw, &counts);
-      build_csr(raw, counts, &csr);
-      replicates[static_cast<size_t>(i)] = Compress(n, weight_bits, csr);
-    }
-    return InvertedWalkIndex(n, length, std::move(replicates));
-  }
 
   if (num_replicates >= NumThreads()) {
     // Whole replicates in parallel: zero serial fraction, and walks come
@@ -150,11 +104,22 @@ InvertedWalkIndex InvertedWalkIndex::Build(int32_t length,
       std::vector<RawPosting> raw;
       raw.reserve(MaxPostings(n, length, n));
       std::vector<int64_t> counts(static_cast<size_t>(n), 0);
-      InvertWalkRange(source, static_cast<int32_t>(i), length, 0, n,
-                      /*use_streams=*/true, &visited_stamp, &stamp, &raw,
-                      &counts);
+      InvertWalkRange(*source, static_cast<int32_t>(i), length, 0, n,
+                      &visited_stamp, &stamp, &raw, &counts);
+      // Counting sort of the raw postings (in ascending-source order) into
+      // a transient CSR, compressed away at once, so at most one
+      // uncompressed replicate per thread is ever resident.
       RawReplicate csr;
-      build_csr(raw, counts, &csr);
+      csr.offsets.assign(static_cast<size_t>(n) + 1, 0);
+      for (size_t v = 0; v < static_cast<size_t>(n); ++v) {
+        csr.offsets[v + 1] = csr.offsets[v] + counts[v];
+      }
+      csr.entries.resize(raw.size());
+      std::vector<int64_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
+      for (const RawPosting& p : raw) {
+        csr.entries[static_cast<size_t>(
+            cursor[static_cast<size_t>(p.target)]++)] = {p.source, p.hop};
+      }
       replicates[static_cast<size_t>(i)] = Compress(n, weight_bits, csr);
     });
     return InvertedWalkIndex(n, length, std::move(replicates));
@@ -178,9 +143,9 @@ InvertedWalkIndex InvertedWalkIndex::Build(int32_t length,
       my_counts.assign(static_cast<size_t>(n), 0);
       std::vector<int64_t> visited_stamp(static_cast<size_t>(n), -1);
       int64_t stamp = 0;
-      InvertWalkRange(source, i, length, static_cast<NodeId>(b),
-                      static_cast<NodeId>(e), /*use_streams=*/true,
-                      &visited_stamp, &stamp, &my_raw, &my_counts);
+      InvertWalkRange(*source, i, length, static_cast<NodeId>(b),
+                      static_cast<NodeId>(e), &visited_stamp, &stamp,
+                      &my_raw, &my_counts);
     });
 
     RawReplicate csr;

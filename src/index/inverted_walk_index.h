@@ -35,9 +35,10 @@ class InvertedWalkIndex {
   using Entry = PostingEntry;
 
   /// Runs Algorithm 3: draws `num_replicates` walks of budget `length` from
-  /// every node of `source`'s universe and inverts them.
+  /// every node of `source`'s universe and inverts them. Replicate i of
+  /// node w is the source's stream walk (w, i).
   static InvertedWalkIndex Build(int32_t length, int32_t num_replicates,
-                                 WalkSource* source);
+                                 const WalkSource* source);
 
   /// Block-decoding cursor over one compressed posting list. Usage:
   ///

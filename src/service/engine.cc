@@ -109,17 +109,16 @@ Result<KnnResponse> Knn(QueryContext& context, const KnnRequest& request) {
                             request.k, request.params.length);
   } else {
     response.mode = "sampled";
-    auto source = context.substrate().MakeWalkSource(request.params.seed);
     response.neighbors = SampledHittingTimeKnn(
-        source.get(), request.query, request.k, request.params.length,
-        request.params.num_samples);
+        context.substrate().model(), request.params.seed, request.query,
+        request.k, request.params.length, request.params.num_samples);
   }
   return response;
 }
 
 Result<CoverResponse> Cover(QueryContext& context,
                             const CoverRequest& request) {
-  if (request.alpha < 0.0 || request.alpha > 1.0) {
+  if (!(request.alpha >= 0.0 && request.alpha <= 1.0)) {  // Rejects NaN.
     return Status::InvalidArgument("alpha must be in [0, 1]");
   }
   WallTimer timer;

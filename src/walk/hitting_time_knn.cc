@@ -6,6 +6,7 @@
 #include "util/logging.h"
 #include "walk/transition_dp.h"
 #include "walk/walk.h"
+#include "walk/walk_source.h"
 
 namespace rwdom {
 namespace {
@@ -49,15 +50,14 @@ std::vector<HittingTimeNeighbor> ExactHittingTimeKnn(const Graph& graph,
   return ExactHittingTimeKnn(model, query, k, length);
 }
 
-std::vector<HittingTimeNeighbor> SampledHittingTimeKnn(WalkSource* source,
-                                                       NodeId query,
-                                                       int32_t k,
-                                                       int32_t length,
-                                                       int32_t num_samples) {
+std::vector<HittingTimeNeighbor> SampledHittingTimeKnn(
+    const TransitionModel& model, uint64_t seed, NodeId query, int32_t k,
+    int32_t length, int32_t num_samples) {
   RWDOM_CHECK_GE(k, 0);
   RWDOM_CHECK_GE(num_samples, 1);
-  const NodeId n = source->num_nodes();
+  const NodeId n = model.num_nodes();
   RWDOM_CHECK(query >= 0 && query < n);
+  Rng rng(seed);
   std::vector<double> estimates(static_cast<size_t>(n), 0.0);
   std::vector<NodeId> trajectory;
   const double r_inv = 1.0 / static_cast<double>(num_samples);
@@ -65,7 +65,7 @@ std::vector<HittingTimeNeighbor> SampledHittingTimeKnn(WalkSource* source,
     if (u == query) continue;
     int64_t total = 0;
     for (int32_t i = 0; i < num_samples; ++i) {
-      source->SampleWalk(u, length, &trajectory);
+      DrawWalk(model, &rng, u, length, &trajectory);
       total += FindFirstHitOfNode(trajectory, query, length).time;
     }
     estimates[static_cast<size_t>(u)] = static_cast<double>(total) * r_inv;

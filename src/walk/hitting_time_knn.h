@@ -7,6 +7,8 @@
 //  * Exact:   one O(mL) dynamic program over Eq. (2), then a partial sort.
 //  * Sampled: R L-length walks per node (Algorithm-2 style estimation with
 //             S = {q}); linear in nRL, matching [30]'s sampling approach.
+//             Its walks come from one sequential RNG, so it runs on one
+//             thread.
 #ifndef RWDOM_WALK_HITTING_TIME_KNN_H_
 #define RWDOM_WALK_HITTING_TIME_KNN_H_
 
@@ -15,7 +17,6 @@
 
 #include "graph/graph.h"
 #include "walk/transition_model.h"
-#include "walk/walk_source.h"
 
 namespace rwdom {
 
@@ -37,12 +38,11 @@ std::vector<HittingTimeNeighbor> ExactHittingTimeKnn(const Graph& graph,
                                                      int32_t length);
 
 /// Sampled variant: estimates h^L_{u, query} with `num_samples` walks per
-/// node drawn from `source` (Eq. 9 estimator), then selects the k smallest.
-std::vector<HittingTimeNeighbor> SampledHittingTimeKnn(WalkSource* source,
-                                                       NodeId query,
-                                                       int32_t k,
-                                                       int32_t length,
-                                                       int32_t num_samples);
+/// node (Eq. 9 estimator), then selects the k smallest. The walks are
+/// drawn with DrawWalk from one Rng(seed), node by node in id order.
+std::vector<HittingTimeNeighbor> SampledHittingTimeKnn(
+    const TransitionModel& model, uint64_t seed, NodeId query, int32_t k,
+    int32_t length, int32_t num_samples);
 
 }  // namespace rwdom
 

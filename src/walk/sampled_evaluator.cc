@@ -14,18 +14,12 @@ struct NodeTally {
   int64_t hit_time_sum = 0;
 };
 
-NodeTally TallyNode(WalkSource* source, bool use_streams, NodeId u,
-                    int32_t length, int32_t num_samples,
-                    const NodeFlagSet& targets,
+NodeTally TallyNode(const WalkSource& source, NodeId u, int32_t length,
+                    int32_t num_samples, const NodeFlagSet& targets,
                     std::vector<NodeId>* trajectory) {
   NodeTally tally;
   for (int32_t i = 0; i < num_samples; ++i) {
-    if (use_streams) {
-      source->SampleWalkStream(u, static_cast<uint64_t>(i), length,
-                               trajectory);
-    } else {
-      source->SampleWalk(u, length, trajectory);
-    }
+    source.SampleWalkStream(u, static_cast<uint64_t>(i), length, trajectory);
     FirstHit first = FindFirstHit(*trajectory, targets, length);
     if (first.hit) {
       ++tally.hits;
@@ -44,46 +38,35 @@ SampledEvaluator::SampledEvaluator(int32_t length, int32_t num_samples)
 }
 
 SampledObjectives SampledEvaluator::Evaluate(const NodeFlagSet& targets,
-                                             WalkSource* source) const {
+                                             const WalkSource* source) const {
   return EvaluateWithPerNode(targets, source, nullptr);
 }
 
 SampledObjectives SampledEvaluator::EvaluateWithPerNode(
-    const NodeFlagSet& targets, WalkSource* source,
+    const NodeFlagSet& targets, const WalkSource* source,
     PerNodeEstimates* per_node) const {
   const NodeId n = source->num_nodes();
   RWDOM_CHECK_EQ(targets.universe_size(), n);
   const double r_inv = 1.0 / static_cast<double>(num_samples_);
-  const bool use_streams = source->has_deterministic_streams();
 
   if (per_node != nullptr) {
     per_node->hitting_time.assign(static_cast<size_t>(n), 0.0);
     per_node->hit_prob.assign(static_cast<size_t>(n), 1.0);
   }
 
-  // Per-node tallies first (parallel when the source supports streams),
-  // then a serial node-order reduction so the floating-point sums are
-  // identical for every thread count.
+  // Per-node tallies first, in parallel, then a serial node-order
+  // reduction so the floating-point sums are identical for every thread
+  // count.
   std::vector<NodeTally> tallies(static_cast<size_t>(n));
-  if (use_streams) {
-    ParallelForChunks(0, n, [&](int, int64_t begin, int64_t end) {
-      std::vector<NodeId> trajectory;
-      for (int64_t u = begin; u < end; ++u) {
-        if (targets.Contains(static_cast<NodeId>(u))) continue;
-        tallies[static_cast<size_t>(u)] =
-            TallyNode(source, /*use_streams=*/true, static_cast<NodeId>(u),
-                      length_, num_samples_, targets, &trajectory);
-      }
-    });
-  } else {
+  ParallelForChunks(0, n, [&](int, int64_t begin, int64_t end) {
     std::vector<NodeId> trajectory;
-    for (NodeId u = 0; u < n; ++u) {
-      if (targets.Contains(u)) continue;
+    for (int64_t u = begin; u < end; ++u) {
+      if (targets.Contains(static_cast<NodeId>(u))) continue;
       tallies[static_cast<size_t>(u)] =
-          TallyNode(source, /*use_streams=*/false, u, length_, num_samples_,
+          TallyNode(*source, static_cast<NodeId>(u), length_, num_samples_,
                     targets, &trajectory);
     }
-  }
+  });
 
   double total_hitting = 0.0;  // sum over u not in S of ĥ_uS
   double total_hits = 0.0;     // sum over u not in S of r_u / R

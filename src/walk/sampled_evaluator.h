@@ -37,12 +37,10 @@ struct PerNodeEstimates {
 /// Stateless estimator configuration; walks come from the caller's
 /// WalkSource so randomness and replay are under caller control.
 ///
-/// When the source has deterministic streams (TransitionWalkSource,
-/// RandomWalkSource), per-node walk blocks are drawn from counter-derived
-/// streams in parallel and reduced in node order, so the estimate is
-/// bit-identical for any thread count and independent of call order
-/// (common random numbers across repeated evaluations). Shared-state
-/// sources (FixedWalkSource) are evaluated sequentially as before.
+/// Sample i of node u is the source's stream walk (u, i). Per-node walk
+/// blocks are drawn in parallel and reduced in node order, so the
+/// estimate is bit-identical for any thread count and independent of call
+/// order (common random numbers across repeated evaluations).
 class SampledEvaluator {
  public:
   /// `length` = L (walk budget), `num_samples` = R walks per node.
@@ -50,11 +48,11 @@ class SampledEvaluator {
 
   /// Runs Algorithm 2: estimates both objectives for `targets`.
   SampledObjectives Evaluate(const NodeFlagSet& targets,
-                             WalkSource* source) const;
+                             const WalkSource* source) const;
 
   /// Like Evaluate but also returns per-node estimates (used by metrics).
   SampledObjectives EvaluateWithPerNode(const NodeFlagSet& targets,
-                                        WalkSource* source,
+                                        const WalkSource* source,
                                         PerNodeEstimates* per_node) const;
 
   int32_t length() const { return length_; }

@@ -9,19 +9,16 @@ namespace rwdom {
 TransitionDp::TransitionDp(const TransitionModel* model, int32_t length)
     : model_(model), length_(length) {
   RWDOM_CHECK_GE(length, 0);
-  prev_.resize(static_cast<size_t>(model_->num_nodes()));
-  cur_.resize(static_cast<size_t>(model_->num_nodes()));
 }
 
 TransitionDp::TransitionDp(const Graph* graph, int32_t length)
     : model_(graph), length_(length) {
   RWDOM_CHECK_GE(length, 0);
-  prev_.resize(static_cast<size_t>(model_->num_nodes()));
-  cur_.resize(static_cast<size_t>(model_->num_nodes()));
 }
 
-void TransitionDp::Run(bool hitting_time, const NodeFlagSet* set_target,
-                       NodeId extra_target, std::vector<double>* out) const {
+std::vector<double> TransitionDp::Run(bool hitting_time,
+                                      const NodeFlagSet* set_target,
+                                      NodeId extra_target) const {
   const NodeId n = model_->num_nodes();
   RWDOM_CHECK(set_target == nullptr || set_target->universe_size() == n);
   RWDOM_CHECK(extra_target == kInvalidNode ||
@@ -30,29 +27,31 @@ void TransitionDp::Run(bool hitting_time, const NodeFlagSet* set_target,
     return (set_target != nullptr && set_target->Contains(u)) ||
            u == extra_target;
   };
+  std::vector<double> prev(static_cast<size_t>(n));
+  std::vector<double> cur(static_cast<size_t>(n));
   // Level 0: h^0 == 0 everywhere; p^0_uS = [u in S].
   for (NodeId u = 0; u < n; ++u) {
-    prev_[static_cast<size_t>(u)] =
+    prev[static_cast<size_t>(u)] =
         hitting_time ? 0.0 : (in_target(u) ? 1.0 : 0.0);
   }
   for (int32_t level = 1; level <= length_; ++level) {
     for (NodeId u = 0; u < n; ++u) {
       if (in_target(u)) {
-        cur_[static_cast<size_t>(u)] = hitting_time ? 0.0 : 1.0;
+        cur[static_cast<size_t>(u)] = hitting_time ? 0.0 : 1.0;
         continue;
       }
       if (model_->out_degree(u) == 0) {
         // Sink outside S: never hits, truncated at this level.
-        cur_[static_cast<size_t>(u)] =
+        cur[static_cast<size_t>(u)] =
             hitting_time ? static_cast<double>(level) : 0.0;
         continue;
       }
-      cur_[static_cast<size_t>(u)] =
-          (hitting_time ? 1.0 : 0.0) + model_->ExpectedValue(u, prev_);
+      cur[static_cast<size_t>(u)] =
+          (hitting_time ? 1.0 : 0.0) + model_->ExpectedValue(u, prev);
     }
-    std::swap(prev_, cur_);
+    std::swap(prev, cur);
   }
-  *out = prev_;  // After the final swap, prev_ holds level == length_.
+  return prev;  // After the final swap, prev holds level == length_.
 }
 
 std::vector<double> TransitionDp::HittingTimesToSet(
@@ -62,16 +61,12 @@ std::vector<double> TransitionDp::HittingTimesToSet(
 
 std::vector<double> TransitionDp::HittingTimesToSetPlus(
     const NodeFlagSet& targets, NodeId extra) const {
-  std::vector<double> result;
-  Run(/*hitting_time=*/true, &targets, extra, &result);
-  return result;
+  return Run(/*hitting_time=*/true, &targets, extra);
 }
 
 std::vector<double> TransitionDp::HittingTimesToNode(NodeId target) const {
   RWDOM_CHECK(target >= 0 && target < model_->num_nodes());
-  std::vector<double> result;
-  Run(/*hitting_time=*/true, nullptr, target, &result);
-  return result;
+  return Run(/*hitting_time=*/true, nullptr, target);
 }
 
 std::vector<double> TransitionDp::HitProbabilities(
@@ -81,17 +76,13 @@ std::vector<double> TransitionDp::HitProbabilities(
 
 std::vector<double> TransitionDp::HitProbabilitiesPlus(
     const NodeFlagSet& targets, NodeId extra) const {
-  std::vector<double> result;
-  Run(/*hitting_time=*/false, &targets, extra, &result);
-  return result;
+  return Run(/*hitting_time=*/false, &targets, extra);
 }
 
 std::vector<double> TransitionDp::HitProbabilitiesToNode(
     NodeId target) const {
   RWDOM_CHECK(target >= 0 && target < model_->num_nodes());
-  std::vector<double> result;
-  Run(/*hitting_time=*/false, nullptr, target, &result);
-  return result;
+  return Run(/*hitting_time=*/false, nullptr, target);
 }
 
 double TransitionDp::F1(const NodeFlagSet& targets) const {

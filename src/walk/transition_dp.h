@@ -21,9 +21,9 @@
 
 namespace rwdom {
 
-/// Exact h^L_uS / p^L_uS solver over a TransitionModel. Holds scratch
-/// buffers so repeated evaluations (the DP greedy's inner loop) do not
-/// reallocate; evaluation is logically const but not thread-safe.
+/// Exact h^L_uS / p^L_uS solver over a TransitionModel. Stateless: every
+/// evaluation allocates its own two level buffers, so concurrent calls
+/// (the DP greedy's parallel candidate scan) are safe.
 class TransitionDp {
  public:
   /// `model` must outlive this object. `length` is the walk budget L >= 0.
@@ -69,15 +69,12 @@ class TransitionDp {
 
  private:
   // Runs the DP with target membership = (set_target contains u) OR
-  // (u == extra_target); writes the final level into *out.
-  void Run(bool hitting_time, const NodeFlagSet* set_target,
-           NodeId extra_target, std::vector<double>* out) const;
+  // (u == extra_target); returns the final level.
+  std::vector<double> Run(bool hitting_time, const NodeFlagSet* set_target,
+                          NodeId extra_target) const;
 
   TransitionModelRef model_;
   int32_t length_;
-  // Scratch, reused across calls (mutable: evaluation is logically const).
-  mutable std::vector<double> prev_;
-  mutable std::vector<double> cur_;
 };
 
 }  // namespace rwdom

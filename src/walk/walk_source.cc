@@ -5,42 +5,29 @@
 
 namespace rwdom {
 
-void WalkSource::SampleWalkStream(NodeId /*start*/, uint64_t /*stream*/,
-                                  int32_t /*length*/,
-                                  std::vector<NodeId>* /*trajectory*/) {
-  RWDOM_CHECK(false) << "SampleWalkStream called on a WalkSource without "
-                        "deterministic streams; check "
-                        "has_deterministic_streams() first";
-}
-
-void TransitionWalkSource::WalkFrom(Rng* rng, NodeId start, int32_t length,
-                                    std::vector<NodeId>* trajectory) const {
-  RWDOM_DCHECK(start >= 0 && start < model_.num_nodes());
+void DrawWalk(const TransitionModel& model, Rng* rng, NodeId start,
+              int32_t length, std::vector<NodeId>* trajectory) {
+  RWDOM_DCHECK(start >= 0 && start < model.num_nodes());
   RWDOM_DCHECK_GE(length, 0);
   trajectory->clear();
   trajectory->reserve(static_cast<size_t>(length) + 1);
   trajectory->push_back(start);
   NodeId current = start;
   for (int32_t step = 0; step < length; ++step) {
-    const NodeId next = model_.Step(current, rng);
+    const NodeId next = model.Step(current, rng);
     if (next == kInvalidNode) break;  // Stuck on a sink.
     current = next;
     trajectory->push_back(current);
   }
 }
 
-void TransitionWalkSource::SampleWalk(NodeId start, int32_t length,
-                                      std::vector<NodeId>* trajectory) {
-  WalkFrom(&rng_, start, length, trajectory);
-}
-
-void TransitionWalkSource::SampleWalkStream(NodeId start, uint64_t stream,
-                                            int32_t length,
-                                            std::vector<NodeId>* trajectory) {
+void TransitionWalkSource::SampleWalkStream(
+    NodeId start, uint64_t stream, int32_t length,
+    std::vector<NodeId>* trajectory) const {
   // Counter-derived stream: seeded purely by (seed, start, stream), so the
   // walk is identical no matter which thread draws it, or when.
   Rng rng(MixSeeds(seed_, MixSeeds(static_cast<uint64_t>(start), stream)));
-  WalkFrom(&rng, start, length, trajectory);
+  DrawWalk(model_, &rng, start, length, trajectory);
 }
 
 void FixedWalkSource::AddWalk(std::vector<NodeId> trajectory,
@@ -51,15 +38,15 @@ void FixedWalkSource::AddWalk(std::vector<NodeId> trajectory,
   walks_[trajectory.front()].push_back(std::move(trajectory));
 }
 
-void FixedWalkSource::SampleWalk(NodeId start, int32_t length,
-                                 std::vector<NodeId>* trajectory) {
+void FixedWalkSource::SampleWalkStream(
+    NodeId start, uint64_t stream, int32_t length,
+    std::vector<NodeId>* trajectory) const {
   auto it = walks_.find(start);
   RWDOM_CHECK(it != walks_.end())
       << "no fixed walk registered for node " << start;
-  size_t& cur = cursor_[start];
-  RWDOM_CHECK_LT(cur, it->second.size())
+  RWDOM_CHECK_LT(stream, it->second.size())
       << "fixed walks for node " << start << " exhausted";
-  const std::vector<NodeId>& recorded = it->second[cur++];
+  const std::vector<NodeId>& recorded = it->second[stream];
   RWDOM_CHECK_LE(static_cast<int32_t>(recorded.size()) - 1, length)
       << "recorded walk longer than requested budget";
   *trajectory = recorded;

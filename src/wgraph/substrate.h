@@ -20,7 +20,6 @@
 #include "graph/graph.h"
 #include "util/status.h"
 #include "walk/transition_model.h"
-#include "walk/walk_source.h"
 #include "wgraph/weighted_graph.h"
 #include "wgraph/weighted_transition_model.h"
 
@@ -57,11 +56,6 @@ class GraphSubstrate {
   /// The weighted digraph; null unless weighted().
   const WeightedGraph* weighted_graph() const {
     return weighted_graph_.get();
-  }
-
-  /// A fresh deterministic walk engine over this substrate.
-  std::unique_ptr<WalkSource> MakeWalkSource(uint64_t seed) const {
-    return std::make_unique<TransitionWalkSource>(model_.get(), seed);
   }
 
   /// Heap footprint of the graph storage + sampling tables, in bytes.

@@ -338,6 +338,14 @@ TEST(CliTest, GenerateValidatesFlags) {
   EXPECT_FALSE(
       RunCli({"generate", "--model=warp", "--n=5", out_flag.c_str()})
           .first.ok());
+  // A non-finite double flag is rejected by name before it reaches a
+  // generator, whose edge count it would otherwise overflow.
+  const Status inf_degree = RunCli({"generate", "--model=cl", "--n=100",
+                                    "--avg_degree=inf", out_flag.c_str()})
+                                .first;
+  EXPECT_EQ(inf_degree.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(inf_degree.ToString().find("--avg_degree"), std::string::npos)
+      << inf_degree;
 }
 
 TEST(CliTest, RejectsUnknownFlagsPerCommand) {

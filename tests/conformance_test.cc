@@ -131,7 +131,7 @@ TEST(ConformanceTest, UniformStepDistributionChiSquare) {
   std::vector<int64_t> counts(7, 0);
   const int kTrials = 60000;
   for (int i = 0; i < kTrials; ++i) {
-    source.SampleWalk(0, 1, &walk);
+    source.SampleWalkStream(0, static_cast<uint64_t>(i), 1, &walk);
     ++counts[static_cast<size_t>(walk[1])];
   }
   const double expected = kTrials / 6.0;

@@ -222,11 +222,12 @@ TEST(DeterminismTest, WeightedWalkStreamsAreCallOrderIndependent) {
   WeightedTransitionModel model(&wg);
   TransitionWalkSource a(&model, 17);
   TransitionWalkSource b(&model, 17);
-  ASSERT_TRUE(a.has_deterministic_streams());
-  // Drain unrelated walks from `b` first: stream walks must not depend on
-  // shared-RNG state or call history.
+  // Draw unrelated walks from `b` first: stream walks must not depend on
+  // call history.
   std::vector<NodeId> scratch;
-  for (int i = 0; i < 10; ++i) b.SampleWalk(0, 5, &scratch);
+  for (uint64_t i = 0; i < 10; ++i) {
+    b.SampleWalkStream(0, 100 + i, 5, &scratch);
+  }
   std::vector<NodeId> walk_a;
   std::vector<NodeId> walk_b;
   for (NodeId start : {NodeId{0}, NodeId{7}, NodeId{39}}) {

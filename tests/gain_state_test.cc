@@ -11,29 +11,8 @@
 namespace rwdom {
 namespace {
 
-// Wraps a WalkSource and records trajectories (see inverted index test).
-class RecordingWalkSource final : public WalkSource {
- public:
-  explicit RecordingWalkSource(WalkSource* inner) : inner_(*inner) {}
-
-  void SampleWalk(NodeId start, int32_t length,
-                  std::vector<NodeId>* trajectory) override {
-    inner_.SampleWalk(start, length, trajectory);
-    recorded_.push_back(*trajectory);
-  }
-
-  NodeId num_nodes() const override { return inner_.num_nodes(); }
-  const std::vector<std::vector<NodeId>>& recorded() const {
-    return recorded_;
-  }
-
- private:
-  WalkSource& inner_;
-  std::vector<std::vector<NodeId>> recorded_;
-};
-
 // Reference D value for Problem 1 straight from the definition: the
-// truncated first-hit time of v's i-th recorded walk against S.
+// truncated first-hit time of v's i-th walk (stream i) against S.
 int32_t ReferenceHitTime(const std::vector<NodeId>& walk,
                          const NodeFlagSet& s, int32_t length) {
   for (size_t t = 0; t < walk.size(); ++t) {
@@ -60,24 +39,23 @@ TEST_P(GainStateRandomTest, DArrayTracksRecordedWalks) {
   const NodeId n = graph->num_nodes();
   const int32_t length = 5;
   const int32_t replicates = 4;
-  RandomWalkSource rng_source(&*graph, seed * 31 + 7);
-  RecordingWalkSource recorder(&rng_source);
+  RandomWalkSource source(&*graph, seed * 31 + 7);
   InvertedWalkIndex index =
-      InvertedWalkIndex::Build(length, replicates, &recorder);
+      InvertedWalkIndex::Build(length, replicates, &source);
 
   GainState state_p1(&index, Problem::kHittingTime);
   GainState state_p2(&index, Problem::kDominatedCount);
   NodeFlagSet selected(n);
 
   // Commit a few nodes and re-derive every D entry from the raw walks.
+  std::vector<NodeId> walk;
   for (NodeId pick : std::vector<NodeId>{3, 17, 0}) {
     state_p1.Commit(pick);
     state_p2.Commit(pick);
     selected.Insert(pick);
     for (int32_t i = 0; i < replicates; ++i) {
       for (NodeId v = 0; v < n; ++v) {
-        const auto& walk =
-            recorder.recorded()[static_cast<size_t>(i) * n + v];
+        source.SampleWalkStream(v, static_cast<uint64_t>(i), length, &walk);
         int32_t expected = ReferenceHitTime(walk, selected, length);
         EXPECT_EQ(state_p1.DValue(i, v), expected)
             << "P1 replicate " << i << " node " << v;
@@ -171,17 +149,16 @@ TEST(GainStateTest, GainsAreNonNegativeAndShrink) {
 }
 
 TEST(GainStateTest, EstimatedObjectiveMatchesAlgorithm2OnSameWalks) {
-  // Build the index and the Algorithm-2 estimate from the *same* recorded
-  // walks; the two estimates of F̂ must agree exactly.
+  // Index replicate i and evaluator sample i are the same stream walk, so
+  // the index's F̂ and Algorithm 2's F̂ on one source must agree exactly.
   auto graph = GenerateBarabasiAlbert(25, 2, 73);
   ASSERT_TRUE(graph.ok());
   const NodeId n = graph->num_nodes();
   const int32_t length = 4;
   const int32_t replicates = 5;
-  RandomWalkSource rng_source(&*graph, 17);
-  RecordingWalkSource recorder(&rng_source);
+  RandomWalkSource source(&*graph, 17);
   InvertedWalkIndex index =
-      InvertedWalkIndex::Build(length, replicates, &recorder);
+      InvertedWalkIndex::Build(length, replicates, &source);
 
   std::vector<NodeId> picks = {2, 19};
   GainState p1(&index, Problem::kHittingTime);
@@ -191,18 +168,9 @@ TEST(GainStateTest, EstimatedObjectiveMatchesAlgorithm2OnSameWalks) {
     p2.Commit(u);
   }
 
-  // Replay the identical walks through Algorithm 2.
-  FixedWalkSource replay(&*graph);
-  NodeFlagSet s(n, picks);
-  for (NodeId v = 0; v < n; ++v) {
-    if (s.Contains(v)) continue;
-    for (int32_t i = 0; i < replicates; ++i) {
-      replay.AddWalk(recorder.recorded()[static_cast<size_t>(i) * n + v],
-                     length);
-    }
-  }
   SampledEvaluator evaluator(length, replicates);
-  SampledObjectives via_alg2 = evaluator.Evaluate(s, &replay);
+  SampledObjectives via_alg2 = evaluator.Evaluate(NodeFlagSet(n, picks),
+                                                  &source);
 
   EXPECT_NEAR(p1.EstimatedObjective(), via_alg2.f1, 1e-9);
   EXPECT_NEAR(p2.EstimatedObjective(), via_alg2.f2, 1e-9);

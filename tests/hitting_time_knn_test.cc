@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "graph/generators.h"
 #include "walk/transition_dp.h"
+#include "wgraph/substrate.h"
 
 namespace rwdom {
 namespace {
@@ -66,8 +70,8 @@ TEST(SampledKnnTest, AgreesWithExactOnWellSeparatedGraph) {
   // smaller hitting times, so even a sampled ranking keeps the sides apart.
   Graph g = GenerateTwoCliquesBridge(5);  // Nodes 0-4 | 5-9, bridge 0-5.
   const NodeId query = 2;                 // Inside clique A.
-  RandomWalkSource source(&g, 9);
-  auto sampled = SampledHittingTimeKnn(&source, query, 4, 6, 400);
+  UniformTransitionModel model(&g);
+  auto sampled = SampledHittingTimeKnn(model, 9, query, 4, 6, 400);
   ASSERT_EQ(sampled.size(), 4u);
   for (const auto& row : sampled) {
     EXPECT_LT(row.node, 5) << "clique-A node expected in top 4";
@@ -81,13 +85,45 @@ TEST(SampledKnnTest, EstimatesConvergeToExact) {
   const NodeId query = 3;
   TransitionDp dp(&*graph, length);
   auto exact = dp.HittingTimesToNode(query);
-  RandomWalkSource source(&*graph, 11);
-  auto sampled = SampledHittingTimeKnn(&source, query, 24, length, 3000);
+  UniformTransitionModel model(&*graph);
+  auto sampled = SampledHittingTimeKnn(model, 11, query, 24, length, 3000);
   for (const auto& row : sampled) {
     EXPECT_NEAR(row.hitting_time, exact[static_cast<size_t>(row.node)],
                 0.12)
         << row.node;
   }
+}
+
+TEST(SampledKnnTest, RowsArePinnedOnUniformAndWeightedDirectedSubstrates) {
+  // Exact rows at a fixed seed. The walks come from one Rng(seed), node by
+  // node in id order, so any change to that sequence moves these values.
+  // R = 32 keeps every estimate an exact binary fraction.
+  GraphSubstrate uniform(GenerateBarabasiAlbert(40, 2, 505).value());
+  GraphSubstrate directed(
+      AttachRandomWeights(*uniform.graph(), 7, /*directed=*/true),
+      /*directed=*/true);
+  ASSERT_EQ(directed.kind(), "weighted-directed");
+  using Rows = std::vector<std::pair<NodeId, double>>;
+  auto rows_of = [](const GraphSubstrate& substrate) {
+    Rows rows;
+    for (const HittingTimeNeighbor& row :
+         SampledHittingTimeKnn(substrate.model(), /*seed=*/2024,
+                               /*query=*/3, /*k=*/5, /*length=*/6,
+                               /*num_samples=*/32)) {
+      rows.emplace_back(row.node, row.hitting_time);
+    }
+    return rows;
+  };
+  EXPECT_EQ(rows_of(uniform), (Rows{{11, 3.15625},
+                                    {2, 3.65625},
+                                    {20, 3.6875},
+                                    {7, 4.25},
+                                    {9, 5.0}}));
+  EXPECT_EQ(rows_of(directed), (Rows{{11, 3.0625},
+                                     {2, 4.0625},
+                                     {7, 4.375},
+                                     {9, 4.71875},
+                                     {4, 5.0625}}));
 }
 
 }  // namespace

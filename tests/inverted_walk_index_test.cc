@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "util/parallel.h"
 #include "walk/walk_source.h"
 
 namespace rwdom {
@@ -77,57 +78,41 @@ TEST(InvertedWalkIndexTest, RepeatVisitsIndexedOnce) {
   EXPECT_EQ(ListOf(index, 0, 2), (Pairs{{1, 3}}));
 }
 
-// Wraps a WalkSource and keeps every trajectory for later verification.
-class RecordingWalkSource final : public WalkSource {
- public:
-  explicit RecordingWalkSource(WalkSource* inner) : inner_(*inner) {}
-
-  void SampleWalk(NodeId start, int32_t length,
-                  std::vector<NodeId>* trajectory) override {
-    inner_.SampleWalk(start, length, trajectory);
-    recorded_.push_back(*trajectory);
-  }
-
-  NodeId num_nodes() const override { return inner_.num_nodes(); }
-  const std::vector<std::vector<NodeId>>& recorded() const {
-    return recorded_;
-  }
-
- private:
-  WalkSource& inner_;
-  std::vector<std::vector<NodeId>> recorded_;
-};
-
 TEST(InvertedWalkIndexTest, MatchesBruteForceInversionOfRecordedWalks) {
+  // Replicate i of node w is the source's stream walk (w, i); invert those
+  // walks by hand and compare every list. 1 thread and R = 5 at 4 threads
+  // run the whole-replicate path, R = 3 at 4 threads the node-chunk path.
   auto graph = GenerateBarabasiAlbert(40, 3, 61);
   ASSERT_TRUE(graph.ok());
   const int32_t length = 4;
-  const int32_t replicates = 3;
-  RandomWalkSource rng_source(&*graph, 123);
-  RecordingWalkSource recorder(&rng_source);
-  InvertedWalkIndex index =
-      InvertedWalkIndex::Build(length, replicates, &recorder);
-
-  // Walk order: replicate-major, then node-major.
-  ASSERT_EQ(recorder.recorded().size(),
-            static_cast<size_t>(replicates) * 40);
-  for (int32_t i = 0; i < replicates; ++i) {
-    // expected[v] = list of (source, first-visit hop).
-    std::map<NodeId, std::vector<std::pair<NodeId, int32_t>>> expected;
-    for (NodeId w = 0; w < 40; ++w) {
-      const auto& walk =
-          recorder.recorded()[static_cast<size_t>(i) * 40 + w];
-      std::vector<bool> visited(40, false);
-      visited[static_cast<size_t>(walk[0])] = true;
-      for (size_t j = 1; j < walk.size(); ++j) {
-        if (visited[static_cast<size_t>(walk[j])]) continue;
-        visited[static_cast<size_t>(walk[j])] = true;
-        expected[walk[j]].emplace_back(w, static_cast<int32_t>(j));
+  RandomWalkSource source(&*graph, 123);
+  for (int threads : {1, 4}) {
+    for (int32_t replicates : {3, 5}) {
+      SetNumThreads(threads);
+      InvertedWalkIndex index =
+          InvertedWalkIndex::Build(length, replicates, &source);
+      SetNumThreads(0);
+      ASSERT_EQ(index.num_replicates(), replicates);
+      std::vector<NodeId> walk;
+      for (int32_t i = 0; i < replicates; ++i) {
+        // expected[v] = list of (source, first-visit hop).
+        std::map<NodeId, std::vector<std::pair<NodeId, int32_t>>> expected;
+        for (NodeId w = 0; w < 40; ++w) {
+          source.SampleWalkStream(w, static_cast<uint64_t>(i), length, &walk);
+          std::vector<bool> visited(40, false);
+          visited[static_cast<size_t>(walk[0])] = true;
+          for (size_t j = 1; j < walk.size(); ++j) {
+            if (visited[static_cast<size_t>(walk[j])]) continue;
+            visited[static_cast<size_t>(walk[j])] = true;
+            expected[walk[j]].emplace_back(w, static_cast<int32_t>(j));
+          }
+        }
+        for (NodeId v = 0; v < 40; ++v) {
+          EXPECT_EQ(ListOf(index, i, v), expected[v])
+              << "threads " << threads << " R " << replicates
+              << " replicate " << i << " node " << v;
+        }
       }
-    }
-    for (NodeId v = 0; v < 40; ++v) {
-      EXPECT_EQ(ListOf(index, i, v), expected[v])
-          << "replicate " << i << " node " << v;
     }
   }
 }

@@ -54,8 +54,8 @@ TEST(SampledEvaluatorTest, FixedWalksReproduceEquations9And10) {
 }
 
 TEST(SampledEvaluatorTest, StreamSourceMatchesPerWalkReplay) {
-  // The stream (parallel) path against Equations 9/10 tallied by hand
-  // from the same (node, stream) walks. Node 40 is isolated, so its walks
+  // The parallel evaluator against Equations 9/10 tallied by hand from
+  // the same (node, stream) walks. Node 40 is isolated, so its walks
   // get stuck at Z^0 and never reach S.
   auto er = GenerateErdosRenyiGnm(40, 80, 17);
   ASSERT_TRUE(er.ok());
@@ -73,13 +73,11 @@ TEST(SampledEvaluatorTest, StreamSourceMatchesPerWalkReplay) {
   NodeFlagSet s(g.num_nodes(), {0, 7, 33});
 
   RandomWalkSource source(&g, 91);
-  ASSERT_TRUE(source.has_deterministic_streams());
   SampledEvaluator evaluator(length, samples);
   PerNodeEstimates per_node;
   SampledObjectives result =
       evaluator.EvaluateWithPerNode(s, &source, &per_node);
 
-  RandomWalkSource replay(&g, 91);
   std::vector<NodeId> walk;
   double total_hitting = 0.0;
   double total_hits = 0.0;
@@ -90,7 +88,7 @@ TEST(SampledEvaluatorTest, StreamSourceMatchesPerWalkReplay) {
       int64_t hits = 0;
       int64_t time_sum = 0;
       for (int32_t i = 0; i < samples; ++i) {
-        replay.SampleWalkStream(u, static_cast<uint64_t>(i), length, &walk);
+        source.SampleWalkStream(u, static_cast<uint64_t>(i), length, &walk);
         const FirstHit first = FindFirstHit(walk, s, length);
         if (first.hit) {
           ++hits;

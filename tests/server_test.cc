@@ -261,6 +261,15 @@ TEST_F(ServerTest, ErrorResponsesKeepTheConnectionOpen) {
   ASSERT_TRUE(garbage.ok()) << garbage.status();
   EXPECT_NE(garbage->find("\"error\""), std::string::npos) << *garbage;
 
+  // A NaN flag is a typed error naming the flag, not a failed CHECK that
+  // takes the server down (NaN compares false against any range bound).
+  auto nan_alpha = client->Roundtrip(
+      "{\"command\": \"cover\", \"flags\": {\"alpha\": \"nan\"}}");
+  ASSERT_TRUE(nan_alpha.ok()) << nan_alpha.status();
+  EXPECT_NE(nan_alpha->find("InvalidArgument"), std::string::npos)
+      << *nan_alpha;
+  EXPECT_NE(nan_alpha->find("--alpha"), std::string::npos) << *nan_alpha;
+
   // The same connection still answers a valid query afterwards.
   auto good = client->Roundtrip(
       "{\"command\": \"stats\", \"flags\": {}}");

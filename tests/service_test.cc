@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -281,6 +282,10 @@ TEST(ServiceEngineTest, ValidatesRequests) {
 
   CoverRequest bad_alpha;
   bad_alpha.alpha = 1.5;
+  EXPECT_EQ(Cover(context, bad_alpha).status().code(),
+            StatusCode::kInvalidArgument);
+  // NaN compares false both ways, so it must not slip past the range check.
+  bad_alpha.alpha = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(Cover(context, bad_alpha).status().code(),
             StatusCode::kInvalidArgument);
 

@@ -18,6 +18,7 @@
 #include "graph/node_set.h"
 #include "util/rng.h"
 #include "walk/problem.h"
+#include "walk/sample_size.h"
 #include "walk/transition_model.h"
 #include "wgraph/substrate.h"
 #include "wgraph/weighted_transition_model.h"
@@ -177,13 +178,11 @@ void PrintTo(SubstrateKind kind, std::ostream* os) {
 class GreedyVersusOptimumTest
     : public testing::TestWithParam<SubstrateKind> {};
 
-// F1 and F2 are monotone submodular with F(empty) = 0 on any transition
-// model, so the greedy k-set scores at least (1 - 1/e) * OPT (Nemhauser,
-// Wolsey & Fisher, Math. Prog. 1978). OPT is found by enumeration.
-TEST_P(GreedyVersusOptimumTest, DpGreedyReachesOneMinusOneOverEOfOptimum) {
-  const SubstrateKind kind = GetParam();
+// Runs check(model, seed, length) over the shared grid: n in {6, 9, 12}
+// (G(n, 2n) topologies), seeds 1-6 and L in {2, 5}, on the substrate kind.
+template <typename Check>
+void ForEachGridCase(SubstrateKind kind, Check check) {
   const bool directed = kind == SubstrateKind::kWeightedDirected;
-  const double bound = 1.0 - std::exp(-1.0);
   for (NodeId n : {6, 9, 12}) {
     for (uint64_t seed = 1; seed <= 6; ++seed) {
       Graph g = GenerateErdosRenyiGnm(n, 2 * n, seed).value();
@@ -194,25 +193,81 @@ TEST_P(GreedyVersusOptimumTest, DpGreedyReachesOneMinusOneOverEOfOptimum) {
           kind == SubstrateKind::kUniform
               ? static_cast<const TransitionModel&>(uniform)
               : weighted;
-      for (int32_t length : {2, 5}) {
-        for (Problem problem :
-             {Problem::kHittingTime, Problem::kDominatedCount}) {
-          ExactObjective objective(&model, problem, length);
-          const std::string name = "DP" + std::string(ProblemName(problem));
-          for (int32_t k : {1, 2, 3}) {
-            auto greedy =
-                MakeSelector(name, &model, SelectorParams{.length = length});
-            ASSERT_TRUE(greedy.ok()) << greedy.status();
-            const double value =
-                objective.Value(NodeFlagSet(n, (*greedy)->Select(k).selected));
-            EXPECT_GE(value, bound * Optimum(objective, k) - 1e-9)
-                << name << " n=" << n << " seed=" << seed
-                << " L=" << length << " k=" << k;
-          }
-        }
-      }
+      for (int32_t length : {2, 5}) check(model, seed, length);
     }
   }
+}
+
+// The exact objective of the k-set the named selector picks.
+double ValueOfSelection(const ExactObjective& objective,
+                        const std::string& name,
+                        const TransitionModel& model,
+                        const SelectorParams& params, int32_t k) {
+  auto selector = MakeSelector(name, &model, params);
+  EXPECT_TRUE(selector.ok()) << selector.status();
+  if (!selector.ok()) return 0.0;
+  return objective.Value(NodeFlagSet(model.num_nodes(),
+                                     (*selector)->Select(k).selected));
+}
+
+// F1 and F2 are monotone submodular with F(empty) = 0 on any transition
+// model, so the greedy k-set scores at least (1 - 1/e) * OPT (Nemhauser,
+// Wolsey & Fisher, Math. Prog. 1978). OPT is found by enumeration.
+TEST_P(GreedyVersusOptimumTest, DpGreedyReachesOneMinusOneOverEOfOptimum) {
+  const double bound = 1.0 - std::exp(-1.0);
+  ForEachGridCase(GetParam(), [&](const TransitionModel& model,
+                                  uint64_t seed, int32_t length) {
+    const NodeId n = model.num_nodes();
+    for (Problem problem :
+         {Problem::kHittingTime, Problem::kDominatedCount}) {
+      ExactObjective objective(&model, problem, length);
+      const std::string name = "DP" + std::string(ProblemName(problem));
+      for (int32_t k : {1, 2, 3}) {
+        const double value = ValueOfSelection(
+            objective, name, model, SelectorParams{.length = length}, k);
+        EXPECT_GE(value, bound * Optimum(objective, k) - 1e-9)
+            << name << " n=" << n << " seed=" << seed << " L=" << length
+            << " k=" << k;
+      }
+    }
+  });
+}
+
+// Lemmas 3.3/3.4: at R = SampleSizeForF*(n, eps, delta) walks per node an
+// estimate of F1 is within eps * (n - k) * L of the truth, and one of F2
+// within eps * n, with probability at least 1 - delta. Index greedy
+// (ApproxF1/ApproxF2) at that R should land within the same slack of DP
+// greedy's exact objective.
+TEST_P(GreedyVersusOptimumTest, IndexGreedyAtLemmaSampleSizeTracksDpGreedy) {
+  const double eps = 0.05;
+  const double delta = 0.05;
+  ForEachGridCase(GetParam(), [&](const TransitionModel& model,
+                                  uint64_t seed, int32_t length) {
+    const NodeId n = model.num_nodes();
+    for (Problem problem :
+         {Problem::kHittingTime, Problem::kDominatedCount}) {
+      const bool f1 = problem == Problem::kHittingTime;
+      ExactObjective objective(&model, problem, length);
+      const SelectorParams index_params{
+          .length = length,
+          .num_samples = static_cast<int32_t>(
+              f1 ? SampleSizeForF1(n, eps, delta)
+                 : SampleSizeForF2(n, eps, delta))};
+      const std::string problem_name(ProblemName(problem));
+      for (int32_t k : {1, 2, 3}) {
+        const double dp_value =
+            ValueOfSelection(objective, "DP" + problem_name, model,
+                             SelectorParams{.length = length}, k);
+        const double index_value = ValueOfSelection(
+            objective, "Approx" + problem_name, model, index_params, k);
+        const double slack = f1 ? eps * (n - k) * length : eps * n;
+        EXPECT_GE(index_value, dp_value - slack)
+            << problem_name << " n=" << n << " seed=" << seed
+            << " L=" << length << " k=" << k
+            << " R=" << index_params.num_samples;
+      }
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

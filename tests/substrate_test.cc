@@ -9,6 +9,7 @@
 
 #include "graph/generators.h"
 #include "harness/dataset_registry.h"
+#include "walk/walk_source.h"
 
 namespace rwdom {
 namespace {
@@ -127,9 +128,9 @@ TEST(SubstrateTest, MoveKeepsModelValid) {
   GraphSubstrate moved = std::move(parsed->substrate);
   EXPECT_EQ(moved.model().num_nodes(), 3);
   EXPECT_EQ(moved.num_links(), 4);
-  auto source = moved.MakeWalkSource(5);
+  TransitionWalkSource source(&moved.model(), 5);
   std::vector<NodeId> walk;
-  source->SampleWalk(0, 4, &walk);
+  source.SampleWalkStream(0, 0, 4, &walk);
   EXPECT_GE(walk.size(), 1u);
   EXPECT_EQ(walk.front(), 0);
 }

@@ -147,14 +147,6 @@ TEST(TransitionWalkSourceTest, MatchesRandomWalkSourceBitForBit) {
       EXPECT_EQ(a, b) << "start=" << start << " stream=" << stream;
     }
   }
-  // Shared-state walks too: same seed, same call sequence.
-  TransitionWalkSource unified2(&model, 7);
-  RandomWalkSource legacy2(&*graph, 7);
-  for (int i = 0; i < 5; ++i) {
-    unified2.SampleWalk(4, 5, &a);
-    legacy2.SampleWalk(4, 5, &b);
-    EXPECT_EQ(a, b);
-  }
 }
 
 TEST(BaselinesOverModelTest, DegreeAndDominateMatchGraphConstructors) {

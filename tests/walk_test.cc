@@ -80,7 +80,7 @@ TEST(RandomWalkSourceTest, ProducesValidWalks) {
   RandomWalkSource source(&*graph, 99);
   std::vector<NodeId> walk;
   for (NodeId start = 0; start < 100; start += 7) {
-    source.SampleWalk(start, 5, &walk);
+    source.SampleWalkStream(start, static_cast<uint64_t>(start), 5, &walk);
     EXPECT_EQ(walk.front(), start);
     EXPECT_TRUE(IsValidTrajectory(*graph, walk, 5));
     EXPECT_EQ(walk.size(), 6u);  // Connected graph: full length.
@@ -92,10 +92,10 @@ TEST(RandomWalkSourceTest, DeterministicInSeed) {
   RandomWalkSource a(&g, 5), b(&g, 5), c(&g, 6);
   std::vector<NodeId> wa, wb, wc;
   bool any_diff = false;
-  for (int i = 0; i < 20; ++i) {
-    a.SampleWalk(0, 8, &wa);
-    b.SampleWalk(0, 8, &wb);
-    c.SampleWalk(0, 8, &wc);
+  for (uint64_t stream = 0; stream < 20; ++stream) {
+    a.SampleWalkStream(0, stream, 8, &wa);
+    b.SampleWalkStream(0, stream, 8, &wb);
+    c.SampleWalkStream(0, stream, 8, &wc);
     EXPECT_EQ(wa, wb);
     any_diff |= (wa != wc);
   }
@@ -107,7 +107,7 @@ TEST(RandomWalkSourceTest, IsolatedNodeStaysPut) {
   Graph g = std::move(builder).BuildOrDie();
   RandomWalkSource source(&g, 1);
   std::vector<NodeId> walk;
-  source.SampleWalk(0, 5, &walk);
+  source.SampleWalkStream(0, 0, 5, &walk);
   EXPECT_EQ(walk, std::vector<NodeId>{0});
 }
 
@@ -115,20 +115,24 @@ TEST(RandomWalkSourceTest, ZeroLengthWalkIsJustStart) {
   Graph g = GeneratePath(3);
   RandomWalkSource source(&g, 1);
   std::vector<NodeId> walk;
-  source.SampleWalk(1, 0, &walk);
+  source.SampleWalkStream(1, 0, 0, &walk);
   EXPECT_EQ(walk, std::vector<NodeId>{1});
 }
 
 TEST(FixedWalkSourceTest, ReplaysInOrder) {
+  // Stream i is the i-th walk registered for the start node, on every
+  // call: the source is a pure function, so it replays any number of times.
   Graph g = GeneratePath(4);
   FixedWalkSource source(&g);
   source.AddWalk({0, 1, 2}, 2);
   source.AddWalk({0, 1, 0}, 2);
   std::vector<NodeId> walk;
-  source.SampleWalk(0, 2, &walk);
-  EXPECT_EQ(walk, (std::vector<NodeId>{0, 1, 2}));
-  source.SampleWalk(0, 2, &walk);
-  EXPECT_EQ(walk, (std::vector<NodeId>{0, 1, 0}));
+  for (int pass = 0; pass < 2; ++pass) {
+    source.SampleWalkStream(0, 1, 2, &walk);
+    EXPECT_EQ(walk, (std::vector<NodeId>{0, 1, 0}));
+    source.SampleWalkStream(0, 0, 2, &walk);
+    EXPECT_EQ(walk, (std::vector<NodeId>{0, 1, 2}));
+  }
 }
 
 TEST(FixedWalkSourceTest, ExhaustionDies) {
@@ -136,15 +140,15 @@ TEST(FixedWalkSourceTest, ExhaustionDies) {
   FixedWalkSource source(&g);
   source.AddWalk({0, 1, 2}, 2);
   std::vector<NodeId> walk;
-  source.SampleWalk(0, 2, &walk);
-  EXPECT_DEATH(source.SampleWalk(0, 2, &walk), "exhausted");
+  source.SampleWalkStream(0, 0, 2, &walk);
+  EXPECT_DEATH(source.SampleWalkStream(0, 1, 2, &walk), "exhausted");
 }
 
 TEST(FixedWalkSourceTest, UnregisteredStartDies) {
   Graph g = GeneratePath(4);
   FixedWalkSource source(&g);
   std::vector<NodeId> walk;
-  EXPECT_DEATH(source.SampleWalk(3, 2, &walk), "no fixed walk");
+  EXPECT_DEATH(source.SampleWalkStream(3, 0, 2, &walk), "no fixed walk");
 }
 
 TEST(FixedWalkSourceTest, InvalidWalkRejectedAtRegistration) {

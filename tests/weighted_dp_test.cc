@@ -163,7 +163,7 @@ TEST(WeightedDpTest, SampledWalksAgreeWithDp) {
   for (NodeId start : {0, 1, 3}) {
     int hits = 0;
     for (int i = 0; i < kTrials; ++i) {
-      source.SampleWalk(start, length, &walk);
+      source.SampleWalkStream(start, static_cast<uint64_t>(i), length, &walk);
       for (NodeId node : walk) {
         if (node == 2) {
           ++hits;

@@ -86,8 +86,8 @@ TEST(WeightedWalkSourceTest, WalksFollowArcs) {
   TransitionWalkSource source(&model, 5);
   EXPECT_EQ(source.num_nodes(), 4);
   std::vector<NodeId> walk;
-  for (int i = 0; i < 20; ++i) {
-    source.SampleWalk(0, 6, &walk);
+  for (uint64_t stream = 0; stream < 20; ++stream) {
+    source.SampleWalkStream(0, stream, 6, &walk);
     ASSERT_EQ(walk.size(), 7u);
     EXPECT_EQ(walk.front(), 0);
     for (size_t j = 1; j < walk.size(); ++j) {
@@ -105,7 +105,7 @@ TEST(WeightedWalkSourceTest, SinkEndsWalkEarly) {
   WeightedTransitionModel model(&wg);
   TransitionWalkSource source(&model, 3);
   std::vector<NodeId> walk;
-  source.SampleWalk(0, 10, &walk);
+  source.SampleWalkStream(0, 0, 10, &walk);
   EXPECT_EQ(walk, (std::vector<NodeId>{0, 1, 2}));
 }
 
@@ -121,7 +121,7 @@ TEST(WeightedWalkSourceTest, HeavyArcDominatesStepChoice) {
   int toward_heavy = 0;
   const int kTrials = 5000;
   for (int i = 0; i < kTrials; ++i) {
-    source.SampleWalk(0, 1, &walk);
+    source.SampleWalkStream(0, static_cast<uint64_t>(i), 1, &walk);
     toward_heavy += walk[1] == 1 ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(toward_heavy) / kTrials, 0.99, 0.01);
@@ -133,9 +133,9 @@ TEST(WeightedWalkSourceTest, DeterministicInSeed) {
   WeightedTransitionModel model(&wg);
   TransitionWalkSource a(&model, 9), b(&model, 9);
   std::vector<NodeId> wa, wb;
-  for (int i = 0; i < 10; ++i) {
-    a.SampleWalk(3, 8, &wa);
-    b.SampleWalk(3, 8, &wb);
+  for (uint64_t stream = 0; stream < 10; ++stream) {
+    a.SampleWalkStream(3, stream, 8, &wa);
+    b.SampleWalkStream(3, stream, 8, &wb);
     EXPECT_EQ(wa, wb);
   }
 }
